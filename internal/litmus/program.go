@@ -20,6 +20,7 @@ package litmus
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"denovogpu/internal/coherence"
@@ -211,27 +212,31 @@ type Outcome struct {
 }
 
 // Key canonicalizes the outcome for set membership.
-func (o Outcome) Key() string {
-	var b strings.Builder
+func (o Outcome) Key() string { return string(o.AppendKey(nil)) }
+
+// AppendKey appends the outcome's Key to buf and returns the extended
+// buffer, so a caller with a reused buffer can form keys without
+// allocating.
+func (o Outcome) AppendKey(buf []byte) []byte {
 	for ti, ls := range o.Loads {
 		if ti > 0 {
-			b.WriteByte('/')
+			buf = append(buf, '/')
 		}
 		for i, v := range ls {
 			if i > 0 {
-				b.WriteByte(',')
+				buf = append(buf, ',')
 			}
-			fmt.Fprintf(&b, "%d", v)
+			buf = strconv.AppendUint(buf, uint64(v), 10)
 		}
 	}
-	b.WriteByte('|')
+	buf = append(buf, '|')
 	for i, v := range o.Final {
 		if i > 0 {
-			b.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		fmt.Fprintf(&b, "%d", v)
+		buf = strconv.AppendUint(buf, uint64(v), 10)
 	}
-	return b.String()
+	return buf
 }
 
 // Schedule is a timing perturbation: Delay[thread][op] idle cycles are

@@ -195,16 +195,11 @@ func (m *model) deliverFootprint(s *state, src, dst, v uint8) uint64 {
 		return homeBit(v)
 	}
 	fp := slotBit(dst, v)
-	var g *msg
-	for i := range s.msgs {
-		if s.msgs[i].src == src && s.msgs[i].dst == dst && s.msgs[i].v == v {
-			g = &s.msgs[i]
-			break
-		}
-	}
-	if g == nil {
+	i := s.head(src, dst, v)
+	if i < 0 {
 		return fp // unreachable: delivery is only enabled on a nonempty channel
 	}
+	g := &s.msgs[i]
 	switch g.kind {
 	case mReadResp:
 		fp |= tctlBit(g.thread)
@@ -257,10 +252,11 @@ type Unit struct {
 
 // dframe is one depth of the DPOR stack: the state reached, the
 // incoming event's identity/footprint/clock (meaningless at the root),
-// and the node's exploration bookkeeping.
+// and the node's exploration bookkeeping. Frames are recycled: the next
+// frame pushed at a depth reuses the popped one's state and slices, so
+// a frame's state is valid only while the frame is on the stack.
 type dframe struct {
-	s     *state
-	trace *traceNode
+	s *state
 
 	t     trans  // incoming transition (event index = depth-1)
 	fp    uint64 // its footprint
@@ -274,6 +270,16 @@ type dframe struct {
 	sleep   []sleepEnt
 }
 
+// resize returns b resized to n zeroed elements, reusing its capacity.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
+}
+
 // exploreDPOR runs stateless source-DPOR over unit. It returns frames
 // visited below the cut (the prefix was counted once by the split
 // phase), terminal outcomes, and the first violation in deterministic
@@ -284,19 +290,25 @@ func (m *model) exploreDPOR(oracle map[string]litmus.Outcome, budget int, unit U
 	start := time.Now()
 	cut := len(unit.Prefix)
 
-	violation := func(name, detail string, obs *litmus.Outcome, tn *traceNode) *Violation {
+	stack := make([]dframe, 1, 64)
+	stack[0] = dframe{s: m.initial()}
+
+	// violation reports the top frame. Its trace is rendered from each
+	// frame's state and the transition taken out of it.
+	violation := func(name, detail string, obs *litmus.Outcome) *Violation {
+		trace := make([]string, len(stack)-1)
+		for k := 1; k < len(stack); k++ {
+			trace[k-1] = m.label(stack[k-1].s, stack[k].t)
+		}
 		return &Violation{
 			Invariant: name,
 			Detail:    detail,
 			Config:    m.mcfg,
 			Program:   m.p,
 			Observed:  obs,
-			Trace:     tn.path(),
+			Trace:     trace,
 		}
 	}
-
-	stack := make([]dframe, 1, 64)
-	stack[0] = dframe{s: m.initial()}
 
 	for len(stack) > 0 {
 		d := len(stack) - 1
@@ -315,38 +327,43 @@ func (m *model) exploreDPOR(oracle map[string]litmus.Outcome, budget int, unit U
 				states++
 			}
 			if s.viol != "" {
-				return states, outcomes, violation(s.viol, s.violDetail, nil, fr.trace), nil
+				return states, outcomes, violation(s.viol, s.violDetail, nil), nil
 			}
 			if name, detail := m.checkInvariants(s); name != "" {
-				return states, outcomes, violation(name, detail, nil, fr.trace), nil
+				return states, outcomes, violation(name, detail, nil), nil
 			}
 			if m.terminal(s) {
-				o, ok := m.outcome(s)
-				if !ok {
-					return states, outcomes, violation(s.viol, s.violDetail, nil, fr.trace), nil
+				if !m.outcomeInto(&m.out, s) {
+					return states, outcomes, violation(s.viol, s.violDetail, nil), nil
 				}
-				k := o.Key()
-				if _, permitted := oracle[k]; !permitted {
-					return states, outcomes, violation("oracle-conformance",
-						fmt.Sprintf("reachable outcome %s is not permitted by the %v oracle", k, m.cfg.model),
-						&o, fr.trace), nil
+				// Only an outcome not seen before is checked and copied
+				// out; a seen key was already permitted.
+				m.key = m.out.AppendKey(m.key[:0])
+				if _, seen := outcomes[string(m.key)]; !seen {
+					k := string(m.key)
+					o, _ := m.outcome(s)
+					if _, permitted := oracle[k]; !permitted {
+						return states, outcomes, violation("oracle-conformance",
+							fmt.Sprintf("reachable outcome %s is not permitted by the %v oracle", k, m.cfg.model),
+							&o), nil
+					}
+					outcomes[k] = o
 				}
-				outcomes[k] = o
 				stack = stack[:d]
 				continue
 			}
-			fr.enab = m.enabled(s)
+			fr.enab = m.enabledInto(fr.enab, s)
 			if len(fr.enab) == 0 {
 				return states, outcomes, violation("deadlock",
 					"no transition enabled in a non-terminal state (lost wakeup or stranded request)",
-					nil, fr.trace), nil
+					nil), nil
 			}
-			fr.enabFp = make([]uint64, len(fr.enab))
+			fr.enabFp = resize(fr.enabFp, len(fr.enab))
 			for i, t := range fr.enab {
 				fr.enabFp[i] = m.dynFootprint(s, t)
 			}
-			fr.back = make([]bool, len(fr.enab))
-			fr.done = make([]bool, len(fr.enab))
+			fr.back = resize(fr.back, len(fr.enab))
+			fr.done = resize(fr.done, len(fr.enab))
 			switch {
 			case d < cut:
 				// Prefix replay: the split phase already branched here; take
@@ -367,9 +384,9 @@ func (m *model) exploreDPOR(oracle map[string]litmus.Outcome, budget int, unit U
 				}
 			default:
 				if d == cut && len(unit.Sleep) > 0 {
-					fr.sleep = make([]sleepEnt, len(unit.Sleep))
-					for i, u := range unit.Sleep {
-						fr.sleep[i] = sleepEnt{trans(u), m.dynFootprint(s, trans(u))}
+					fr.sleep = fr.sleep[:0]
+					for _, u := range unit.Sleep {
+						fr.sleep = append(fr.sleep, sleepEnt{trans(u), m.dynFootprint(s, trans(u))})
 					}
 				}
 				seeded := false
@@ -404,32 +421,37 @@ func (m *model) exploreDPOR(oracle map[string]litmus.Outcome, budget int, unit U
 		fr.done[sel] = true
 		t, ft := fr.enab[sel], fr.enabFp[sel]
 
+		// Push the child into the recycled frame at depth d+1.
+		if len(stack) < cap(stack) {
+			stack = stack[:d+2]
+		} else {
+			stack = append(stack, dframe{})
+		}
+		fr = &stack[d]
+		ch := &stack[d+1]
+
 		// Race detection for the new event, and its clock.
-		clock := m.racesOnAppend(stack, t, ft, cut)
+		ch.clock = m.racesOnAppend(stack[:d+1], t, ft, cut, ch.clock)
 
 		// Child sleep: inherited entries and already-explored siblings,
 		// filtered to those independent of the taken transition.
-		var childSleep []sleepEnt
+		ch.sleep = ch.sleep[:0]
 		for _, u := range fr.sleep {
 			if independent(u.fp, ft) {
-				childSleep = append(childSleep, u)
+				ch.sleep = append(ch.sleep, u)
 			}
 		}
 		for i := range fr.enab {
 			if fr.done[i] && i != sel && independent(fr.enabFp[i], ft) {
-				childSleep = append(childSleep, sleepEnt{fr.enab[i], fr.enabFp[i]})
+				ch.sleep = append(ch.sleep, sleepEnt{fr.enab[i], fr.enabFp[i]})
 			}
 		}
 
-		n, label := m.applyT(fr.s, t)
-		stack = append(stack, dframe{
-			s:     n,
-			trace: &traceNode{label: label, parent: fr.trace},
-			t:     t,
-			fp:    ft,
-			clock: clock,
-			sleep: childSleep,
-		})
+		if ch.s == nil {
+			ch.s = new(state)
+		}
+		m.applyInto(ch.s, fr.s, t)
+		ch.t, ch.fp, ch.visited = t, ft, false
 	}
 	return states, outcomes, nil, nil
 }
@@ -441,10 +463,11 @@ func (m *model) exploreDPOR(oracle map[string]litmus.Outcome, budget int, unit U
 // yet covered is adjacent to the new event in happens-before — a race.
 // Races whose frame lies inside a shard's replayed prefix are skipped:
 // the split phase branched every top-region node fully, so the
-// reversed order lives in a sibling unit.
-func (m *model) racesOnAppend(stack []dframe, tn trans, ftn uint64, cut int) ebits {
+// reversed order lives in a sibling unit. The clock is built in buf's
+// storage.
+func (m *model) racesOnAppend(stack []dframe, tn trans, ftn uint64, cut int, buf ebits) ebits {
 	d := len(stack) - 1 // index of the new event
-	var covered ebits
+	covered := buf[:0]
 	for i := d - 1; i >= 0; i-- {
 		ev := &stack[i+1] // event i
 		if independent(ev.fp, ftn) {
@@ -467,17 +490,18 @@ func (m *model) reverseRace(stack []dframe, i int, tn trans, covered ebits) {
 	fr := &stack[i]
 
 	// notdep: events after i that do not happen-after event i.
-	var notdep []int
+	notdep := m.notdep[:0]
 	for j := i + 1; j < d; j++ {
 		if !stack[j+1].clock.test(i) {
 			notdep = append(notdep, j)
 		}
 	}
+	m.notdep = notdep
 
 	// Initials of v: events with no happens-before predecessor inside
 	// v. The new event qualifies when nothing in notdep happens-before
 	// it — `covered` holds exactly the events that do.
-	var initials []trans
+	initials := m.initials[:0]
 	for a, j := range notdep {
 		isInit := true
 		for _, k := range notdep[:a] {
@@ -500,6 +524,7 @@ func (m *model) reverseRace(stack []dframe, i int, tn trans, covered ebits) {
 	if tnInit {
 		initials = append(initials, tn)
 	}
+	m.initials = initials
 
 	// Source-set check: an initial already scheduled at frame i covers
 	// this race.

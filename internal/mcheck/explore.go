@@ -89,11 +89,11 @@ func (m *model) footprint(t trans) uint32 {
 
 func independent[T uint32 | uint64](fa, fb T) bool { return fa&fb == 0 }
 
-// enabled returns the enabled transitions of s in a fixed deterministic
-// order: thread steps, final releases, background cache actions, then
-// channel deliveries by sorted channel key.
-func (m *model) enabled(s *state) []trans {
-	var ts []trans
+// enabledInto appends the enabled transitions of s to dst[:0] in a
+// fixed deterministic order: thread steps, final releases, background
+// cache actions, then channel deliveries by sorted channel key.
+func (m *model) enabledInto(dst []trans, s *state) []trans {
+	ts := dst[:0]
 	done := m.allOpsDone(s)
 	for ti := range m.p.Threads {
 		if int(s.pcs[ti]) >= len(m.p.Threads[ti].Ops) || s.blocked&(1<<ti) != 0 {
@@ -138,59 +138,103 @@ func (m *model) enabled(s *state) []trans {
 			}
 		}
 	}
-	if len(s.msgs) > 0 {
-		seen := make(map[uint16]bool, len(s.msgs))
-		keys := make([]int, 0, len(s.msgs))
-		for i := range s.msgs {
-			k := s.msgs[i].chanKey()
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, int(k))
-			}
-		}
-		sort.Ints(keys)
-		for _, k := range keys {
-			ts = append(ts, mkTrans(tkDeliver, uint8(k>>8), uint8(k>>4&0xF), uint8(k&0xF)))
-		}
+	for _, k := range m.channels(s) {
+		ts = append(ts, mkTrans(tkDeliver, uint8(k>>8), uint8(k>>4&0xF), uint8(k&0xF)))
 	}
 	return ts
 }
 
-// applyT executes transition t on a copy of s and returns it with a
-// human-readable label for counterexample traces.
-func (m *model) applyT(s *state, t trans) (*state, string) {
-	n := s.clone()
+// channels returns the distinct channel keys of s's in-flight
+// messages in ascending order. The result lives in a buffer on m and
+// is valid until the next call.
+func (m *model) channels(s *state) []uint16 {
+	keys := m.chanKeys[:0]
+	for i := range s.msgs {
+		k := s.msgs[i].chanKey()
+		j := len(keys)
+		for j > 0 && keys[j-1] > k {
+			j--
+		}
+		if j > 0 && keys[j-1] == k {
+			continue
+		}
+		keys = append(keys, 0)
+		copy(keys[j+1:], keys[j:])
+		keys[j] = k
+	}
+	m.chanKeys = keys
+	return keys
+}
+
+// apply executes transition t on s in place.
+func (m *model) apply(s *state, t trans) {
 	kind, a, b, c := t.parts()
 	switch kind {
 	case tkStep:
-		ti := int(a)
-		op := m.opOf(ti, n)
-		label := fmt.Sprintf("t%d: %s", ti, op)
-		m.step(n, ti)
-		return n, label
+		m.step(s, int(a))
 	case tkFinalRel:
-		m.releaseIssue(n, a)
-		n.finalRel |= 1 << a
-		return n, fmt.Sprintf("cu%d: final release", a)
+		m.releaseIssue(s, a)
+		s.finalRel |= 1 << a
 	case tkEvict:
-		n.cus[a].st[c] = wInvalid
-		return n, fmt.Sprintf("cu%d: evict %s", a, vname(c))
+		s.cus[a].st[c] = wInvalid
 	case tkFlushDirty:
-		cu := &n.cus[a]
-		m.sendWT(n, cu, a, c, cu.val[c])
+		cu := &s.cus[a]
+		m.sendWT(s, cu, a, c, cu.val[c])
 		cu.st[c] = wInvalid
-		return n, fmt.Sprintf("cu%d: flush dirty %s", a, vname(c))
 	case tkWriteBack:
-		m.writeBack(n, a, c)
-		return n, fmt.Sprintf("cu%d: write back %s", a, vname(c))
+		m.writeBack(s, a, c)
 	case tkLazyKick:
-		m.sendRegReq(n, &n.cus[a], a, c)
-		return n, fmt.Sprintf("cu%d: register lazy %s", a, vname(c))
+		m.sendRegReq(s, &s.cus[a], a, c)
 	case tkDeliver:
-		return n, m.deliver(n, a, b, c)
+		m.deliver(s, a, b, c)
+	default:
+		s.fail("model-internal", fmt.Sprintf("unknown transition %#x", uint32(t)))
 	}
-	n.fail("model-internal", fmt.Sprintf("unknown transition %#x", uint32(t)))
-	return n, "?"
+}
+
+// applyInto overwrites dst with the successor of s under t. dst reuses
+// its own message buffer, so a recycled dst costs no allocation.
+func (m *model) applyInto(dst, s *state, t trans) {
+	dst.copyFrom(s)
+	m.apply(dst, t)
+}
+
+// label renders transition t, taken from state s, for counterexample
+// traces. It is only called once a violation is found.
+func (m *model) label(s *state, t trans) string {
+	kind, a, b, c := t.parts()
+	switch kind {
+	case tkStep:
+		return fmt.Sprintf("t%d: %s", a, m.opOf(int(a), s))
+	case tkFinalRel:
+		return fmt.Sprintf("cu%d: final release", a)
+	case tkEvict:
+		return fmt.Sprintf("cu%d: evict %s", a, vname(c))
+	case tkFlushDirty:
+		return fmt.Sprintf("cu%d: flush dirty %s", a, vname(c))
+	case tkWriteBack:
+		return fmt.Sprintf("cu%d: write back %s", a, vname(c))
+	case tkLazyKick:
+		return fmt.Sprintf("cu%d: register lazy %s", a, vname(c))
+	case tkDeliver:
+		if i := s.head(a, b, c); i >= 0 {
+			return "deliver " + s.msgs[i].String()
+		}
+		return "deliver(empty)"
+	}
+	return "?"
+}
+
+// traceOf renders the transition path ts by replaying it from the
+// initial state, labelling each transition at the state it fires from.
+func (m *model) traceOf(ts []trans) []string {
+	out := make([]string, len(ts))
+	s := m.initial()
+	for i, t := range ts {
+		out[i] = m.label(s, t)
+		m.apply(s, t)
+	}
+	return out
 }
 
 // encode produces the canonical byte representation of a state.
@@ -239,52 +283,41 @@ func (m *model) encode(s *state) string {
 	// Messages grouped per channel, channels in sorted key order,
 	// within-channel FIFO order preserved: interleavings of independent
 	// transitions encode identically.
-	if len(s.msgs) > 0 {
-		keys := make([]int, 0, len(s.msgs))
-		seen := make(map[uint16]bool, len(s.msgs))
+	for _, k := range m.channels(s) {
+		b = append(b, 0xFE, byte(k), byte(k>>8))
 		for i := range s.msgs {
-			k := s.msgs[i].chanKey()
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, int(k))
+			g := &s.msgs[i]
+			if g.chanKey() != k {
+				continue
 			}
-		}
-		sort.Ints(keys)
-		for _, k := range keys {
-			b = append(b, 0xFE, byte(k), byte(k>>8))
-			for i := range s.msgs {
-				g := &s.msgs[i]
-				if int(g.chanKey()) != k {
-					continue
-				}
-				flags := byte(0)
-				if g.stale {
-					flags |= 1
-				}
-				if g.accepted {
-					flags |= 2
-				}
-				b = append(b, byte(g.kind), g.thread, g.req, g.op, flags)
-				p32(g.val)
+			flags := byte(0)
+			if g.stale {
+				flags |= 1
 			}
+			if g.accepted {
+				flags |= 2
+			}
+			b = append(b, byte(g.kind), g.thread, g.req, g.op, flags)
+			p32(g.val)
 		}
 	}
 	return string(b)
 }
 
 // traceNode is one step of the path to a state, shared structurally
-// across the DFS so paths cost O(1) per node.
+// across the DFS so paths cost O(1) per node. Labels are rendered from
+// the transitions (traceOf) only when a violation is reported.
 type traceNode struct {
-	label  string
+	t      trans
 	parent *traceNode
 }
 
-func (n *traceNode) path() []string {
-	var rev []string
+func (n *traceNode) path() []trans {
+	var rev []trans
 	for ; n != nil; n = n.parent {
-		rev = append(rev, n.label)
+		rev = append(rev, n.t)
 	}
-	out := make([]string, len(rev))
+	out := make([]trans, len(rev))
 	for i := range rev {
 		out[i] = rev[len(rev)-1-i]
 	}
@@ -333,7 +366,7 @@ func (m *model) explore(oracle map[string]litmus.Outcome, budget int, disablePOR
 			Config:    m.mcfg,
 			Program:   m.p,
 			Observed:  obs,
-			Trace:     tn.path(),
+			Trace:     m.traceOf(tn.path()),
 		}
 	}
 
@@ -384,7 +417,7 @@ func (m *model) explore(oracle map[string]litmus.Outcome, budget int, disablePOR
 			continue
 		}
 
-		ts := m.enabled(s)
+		ts := m.enabledInto(nil, s)
 		if len(ts) == 0 {
 			return expanded, outcomes, violation("deadlock",
 				"no transition enabled in a non-terminal state (lost wakeup or stranded request)",
@@ -409,7 +442,8 @@ func (m *model) explore(oracle map[string]litmus.Outcome, budget int, disablePOR
 			if sleepSet[t] {
 				continue
 			}
-			n, label := m.applyT(s, t)
+			n := s.clone()
+			m.apply(n, t)
 			var childSleep []trans
 			if !disablePOR {
 				ft := m.footprint(t)
@@ -429,7 +463,7 @@ func (m *model) explore(oracle map[string]litmus.Outcome, budget int, disablePOR
 			children = append(children, child{frame{
 				s:     n,
 				sleep: childSleep,
-				trace: &traceNode{label: label, parent: fr.trace},
+				trace: &traceNode{t: t, parent: fr.trace},
 			}})
 		}
 		for i := len(children) - 1; i >= 0; i-- {

@@ -14,7 +14,7 @@ import (
 // TestMeasureExplorers is a manual measurement harness, not a CI test:
 //
 //	MCHECK_MEASURE=prog1,prog2 [MCHECK_MEASURE_CFG=DD,DH] \
-//	  go test -run TestMeasureExplorers -v
+//	  [MCHECK_MEASURE_EXPLORER=dpor] go test -run TestMeasureExplorers -v
 //
 // It prints, per (config, program, explorer): states, outcomes, wall
 // time, and the peak live heap sampled while the exploration ran (the
@@ -33,6 +33,14 @@ func TestMeasureExplorers(t *testing.T) {
 	for _, n := range split(os.Getenv("MCHECK_MEASURE_CFG")) {
 		wantCfg[n] = true
 	}
+	explorers := []Explorer{ExplorerDPOR, ExplorerSleepSet}
+	if name := os.Getenv("MCHECK_MEASURE_EXPLORER"); name != "" {
+		ex, err := ExplorerByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		explorers = []Explorer{ex}
+	}
 	for _, e := range litmus.Catalog() {
 		if !want[e.Program.Name] {
 			continue
@@ -44,7 +52,7 @@ func TestMeasureExplorers(t *testing.T) {
 			if len(wantCfg) > 0 && !wantCfg[cfg.Name()] {
 				continue
 			}
-			for _, ex := range []Explorer{ExplorerDPOR, ExplorerSleepSet} {
+			for _, ex := range explorers {
 				runtime.GC()
 				var m0 runtime.MemStats
 				runtime.ReadMemStats(&m0)

@@ -263,9 +263,26 @@ type state struct {
 
 func (s *state) clone() *state {
 	n := new(state)
-	*n = *s
-	n.msgs = append([]msg(nil), s.msgs...)
+	n.copyFrom(s)
 	return n
+}
+
+// copyFrom makes s a deep copy of p, reusing s's message buffer.
+func (s *state) copyFrom(p *state) {
+	msgs := s.msgs[:0]
+	*s = *p
+	s.msgs = append(msgs, p.msgs...)
+}
+
+// head returns the index of the oldest message of channel (src, dst,
+// v) in s.msgs, or -1 if the channel is empty.
+func (s *state) head(src, dst, v uint8) int {
+	for i := range s.msgs {
+		if g := &s.msgs[i]; g.src == src && g.dst == dst && g.v == v {
+			return i
+		}
+	}
+	return -1
 }
 
 func (s *state) fail(name, detail string) {
@@ -287,6 +304,14 @@ type model struct {
 	// every variable the thread touches — the state-independent
 	// footprint of its SC steps.
 	scVarMask []uint32
+
+	// Scratch buffers reused across transitions so the DPOR hot path
+	// does not allocate. They make a model single-goroutine.
+	chanKeys []uint16       // channels
+	notdep   []int          // reverseRace
+	initials []trans        // reverseRace
+	out      litmus.Outcome // terminal outcome under test
+	key      []byte         // its Outcome key
 }
 
 func newModel(cfg machine.Config, p *litmus.Program) (*model, error) {
@@ -771,27 +796,19 @@ func (m *model) ownershipArrived(s *state, ci, v uint8, carried uint32) {
 }
 
 // deliver processes the oldest message of channel (src, dst, v).
-func (m *model) deliver(s *state, src, dst, v uint8) string {
-	idx := -1
-	for i := range s.msgs {
-		if s.msgs[i].src == src && s.msgs[i].dst == dst && s.msgs[i].v == v {
-			idx = i
-			break
-		}
-	}
+func (m *model) deliver(s *state, src, dst, v uint8) {
+	idx := s.head(src, dst, v)
 	if idx < 0 {
 		s.fail("model-internal", fmt.Sprintf("deliver on empty channel %d->%d v%d", src, dst, v))
-		return "deliver(empty)"
+		return
 	}
 	g := s.msgs[idx]
 	s.msgs = append(s.msgs[:idx], s.msgs[idx+1:]...)
-	label := "deliver " + g.String()
 	if dst == home {
 		m.deliverHome(s, g)
 	} else {
 		m.deliverCU(s, g)
 	}
-	return label
 }
 
 // deliverHome processes a message at the variable's registry/L2 home.
@@ -1049,21 +1066,30 @@ func (m *model) terminal(s *state) bool {
 // in memory.
 func (m *model) outcome(s *state) (litmus.Outcome, bool) {
 	var o litmus.Outcome
-	o.Loads = make([][]uint32, m.nt)
-	for ti := 0; ti < m.nt; ti++ {
-		o.Loads[ti] = append([]uint32(nil), s.loads[ti][:s.loadLen[ti]]...)
+	ok := m.outcomeInto(&o, s)
+	return o, ok
+}
+
+// outcomeInto is outcome writing into o, reusing its slices.
+func (m *model) outcomeInto(o *litmus.Outcome, s *state) bool {
+	if cap(o.Loads) < m.nt {
+		o.Loads = make([][]uint32, m.nt)
 	}
-	o.Final = make([]uint32, m.nv)
+	o.Loads = o.Loads[:m.nt]
+	for ti := 0; ti < m.nt; ti++ {
+		o.Loads[ti] = append(o.Loads[ti][:0], s.loads[ti][:s.loadLen[ti]]...)
+	}
+	o.Final = o.Final[:0]
 	for v := 0; v < m.nv; v++ {
 		if ow := s.owner[v]; ow >= 0 {
 			if s.cus[ow].st[v] != wReg {
 				s.fail("l2-agreement", fmt.Sprintf("terminal: registry says cu%d owns v%d but its L1 does not hold it", ow, v))
-				return o, false
+				return false
 			}
-			o.Final[v] = s.cus[ow].val[v]
+			o.Final = append(o.Final, s.cus[ow].val[v])
 		} else {
-			o.Final[v] = s.mem[v]
+			o.Final = append(o.Final, s.mem[v])
 		}
 	}
-	return o, true
+	return true
 }

@@ -58,11 +58,11 @@ type SplitPlan struct {
 	Violation *Violation
 }
 
+// splitNode is one frontier node; its prefix is also its trace.
 type splitNode struct {
 	s      *state
 	sleep  []sleepEnt
 	prefix []uint32
-	trace  *traceNode
 }
 
 // Split partitions the exploration of p under cfg into at least target
@@ -85,11 +85,15 @@ func Split(cfg machine.Config, p *litmus.Program, opts Options, target int) (*Sp
 	}
 
 	plan := &SplitPlan{Outcomes: make(map[string]litmus.Outcome)}
-	violation := func(name, detail string, obs *litmus.Outcome, tn *traceNode) *SplitPlan {
+	violation := func(name, detail string, obs *litmus.Outcome, prefix []uint32) *SplitPlan {
+		path := make([]trans, len(prefix))
+		for i, t := range prefix {
+			path[i] = trans(t)
+		}
 		plan.Units = nil
 		plan.Violation = &Violation{
 			Invariant: name, Detail: detail, Config: m.mcfg, Program: m.p,
-			Observed: obs, Trace: tn.path(),
+			Observed: obs, Trace: m.traceOf(path),
 		}
 		return plan
 	}
@@ -101,30 +105,30 @@ func Split(cfg machine.Config, p *litmus.Program, opts Options, target int) (*Sp
 			plan.States++
 			s := nd.s
 			if s.viol != "" {
-				return violation(s.viol, s.violDetail, nil, nd.trace), nil
+				return violation(s.viol, s.violDetail, nil, nd.prefix), nil
 			}
 			if name, detail := m.checkInvariants(s); name != "" {
-				return violation(name, detail, nil, nd.trace), nil
+				return violation(name, detail, nil, nd.prefix), nil
 			}
 			if m.terminal(s) {
 				o, ok := m.outcome(s)
 				if !ok {
-					return violation(s.viol, s.violDetail, nil, nd.trace), nil
+					return violation(s.viol, s.violDetail, nil, nd.prefix), nil
 				}
 				k := o.Key()
 				if _, permitted := oracle[k]; !permitted {
 					return violation("oracle-conformance",
 						fmt.Sprintf("reachable outcome %s is not permitted by the %v oracle", k, m.cfg.model),
-						&o, nd.trace), nil
+						&o, nd.prefix), nil
 				}
 				plan.Outcomes[k] = o
 				continue
 			}
-			enab := m.enabled(s)
+			enab := m.enabledInto(nil, s)
 			if len(enab) == 0 {
 				return violation("deadlock",
 					"no transition enabled in a non-terminal state (lost wakeup or stranded request)",
-					nil, nd.trace), nil
+					nil, nd.prefix), nil
 			}
 			var explored []sleepEnt
 			for _, t := range enab {
@@ -143,14 +147,12 @@ func Split(cfg machine.Config, p *litmus.Program, opts Options, target int) (*Sp
 						cs = append(cs, u)
 					}
 				}
-				n, label := m.applyT(s, t)
+				n := s.clone()
+				m.apply(n, t)
 				pfx := make([]uint32, len(nd.prefix)+1)
 				copy(pfx, nd.prefix)
 				pfx[len(nd.prefix)] = uint32(t)
-				next = append(next, splitNode{
-					s: n, sleep: cs, prefix: pfx,
-					trace: &traceNode{label: label, parent: nd.trace},
-				})
+				next = append(next, splitNode{s: n, sleep: cs, prefix: pfx})
 				explored = append(explored, sleepEnt{t, ft})
 			}
 		}
