@@ -53,9 +53,12 @@ const MemoryOwner noc.NodeID = -1
 //
 // Per-line state is struct-of-arrays: a dense id per resident line
 // (first-touch order, assigned when the DRAM fetch completes) indexes
-// flat data and owner tables, so the per-request map lookup of the
+// the line's data and owner rows, so the per-request map lookup of the
 // earlier design collapses to one hash probe for the id translation
-// plus array arithmetic.
+// plus array arithmetic. The data row is the line's storage in the
+// shared memory image (mem.Backing.Line), not a copy: a resident line
+// has exactly one copy of its data, which is why the bank never writes
+// anything back to DRAM.
 type Bank struct {
 	Node noc.NodeID
 
@@ -75,10 +78,11 @@ type Bank struct {
 	// interconnect without any bank-level special case.
 	fwd []mem.WordMask
 
-	// ids assigns dense ids to resident lines; data/owner hold one row
-	// of mem.WordsPerLine values per id.
+	// ids assigns dense ids to resident lines; lines holds each id's
+	// storage in the memory image and owner one row of
+	// mem.WordsPerLine owners per id.
 	ids   wordmap.IDTable
-	data  *wordmap.WordTable[uint32]
+	lines []*[mem.WordsPerLine]uint32
 	owner *wordmap.WordTable[noc.NodeID]
 
 	// fetching maps lines with an in-flight DRAM fetch to the pooled
@@ -139,7 +143,6 @@ func New(node noc.NodeID, eng *sim.Engine, mesh noc.Sender, backing *mem.Backing
 		meter:   meter,
 		topo:    topo,
 		fwd:     make([]mem.WordMask, topo.TotalNodes()),
-		data:    wordmap.NewWordTable[uint32](mem.WordsPerLine),
 		owner:   wordmap.NewWordTable[noc.NodeID](mem.WordsPerLine),
 	}
 }
@@ -242,13 +245,13 @@ func (b *Bank) withLine(l mem.Line, at sim.Time, task *procTask) {
 	b.eng.AtTask(start+coherence.DRAMCycles, ft)
 }
 
-// install materializes the line's SoA rows with DRAM data, assigning
-// its dense id.
+// install assigns the line its dense id, points its data row at the
+// line's storage in the memory image and gives every word to memory.
+// Fetches coalesce, so install runs once per line and ids arrive in
+// order.
 func (b *Bank) install(l mem.Line) {
 	id := b.ids.ID(uint64(l))
-	data := b.data.Row(id)
-	vals := b.backing.ReadLine(l)
-	copy(data, vals[:])
+	b.lines = append(b.lines, b.backing.Line(l))
 	owner := b.owner.Row(id)
 	for i := range owner {
 		owner[i] = MemoryOwner
@@ -256,12 +259,12 @@ func (b *Bank) install(l mem.Line) {
 }
 
 // rows returns the data and owner rows of a resident line.
-func (b *Bank) rows(l mem.Line) ([]uint32, []noc.NodeID) {
+func (b *Bank) rows(l mem.Line) (*[mem.WordsPerLine]uint32, []noc.NodeID) {
 	id, ok := b.ids.Lookup(uint64(l))
 	if !ok {
 		panic(fmt.Sprintf("l2: line %v processed before fetch", l))
 	}
-	return b.data.Peek(id), b.owner.Peek(id)
+	return b.lines[id], b.owner.Peek(id)
 }
 
 func (b *Bank) process(msg *coherence.Msg) {
@@ -310,7 +313,7 @@ func (b *Bank) read(msg *coherence.Msg) {
 	if have != 0 {
 		b.mesh.Send(b.pool.NewMsg(coherence.Msg{
 			Kind: coherence.ReadResp, Src: b.Node, Dst: msg.Src, Port: noc.PortL1,
-			Line: msg.Line, Mask: have, Data: [mem.WordsPerLine]uint32(data), ID: msg.ID,
+			Line: msg.Line, Mask: have, Data: *data, ID: msg.ID,
 		}))
 	}
 	// Deterministic iteration: owners in global node order.
@@ -379,7 +382,7 @@ func (b *Bank) register(msg *coherence.Msg) {
 	if grant != 0 {
 		b.mesh.Send(b.pool.NewMsg(coherence.Msg{
 			Kind: coherence.RegAck, Src: b.Node, Dst: msg.Src, Port: noc.PortL1,
-			Line: msg.Line, Mask: grant, Data: [mem.WordsPerLine]uint32(data), Sync: msg.Sync, NeedsData: msg.NeedsData, ID: msg.ID,
+			Line: msg.Line, Mask: grant, Data: *data, Sync: msg.Sync, NeedsData: msg.NeedsData, ID: msg.ID,
 		}))
 	}
 	for dst := noc.NodeID(0); int(dst) < len(fwd); dst++ {
@@ -454,39 +457,28 @@ func (b *Bank) PeekOwner(w mem.Word) noc.NodeID {
 	return MemoryOwner
 }
 
-// PeekData returns the bank's copy of a word (DRAM value if cold).
-func (b *Bank) PeekData(w mem.Word) uint32 {
-	if id, ok := b.ids.Lookup(uint64(w.LineOf())); ok {
-		return b.data.Peek(id)[w.Index()]
-	}
-	return b.backing.Read(w)
-}
+// PeekData returns the bank's value of a word. Resident or cold, that
+// is the memory image's value: a resident line's data row is its image
+// storage.
+func (b *Bank) PeekData(w mem.Word) uint32 { return b.backing.Read(w) }
 
-// PokeData sets the bank's copy of a word (host writes between kernels).
-// It panics if the word is registered to an L1 — the host must recall it
-// first (machine.HostWrite handles that).
+// PokeData sets the bank's value of a word (host writes between
+// kernels). It panics if the word is registered to an L1 — the host
+// must recall it first (machine.HostWrite handles that).
 func (b *Bank) PokeData(w mem.Word, v uint32) {
-	id, ok := b.ids.Lookup(uint64(w.LineOf()))
-	if !ok {
-		b.backing.Write(w, v)
-		return
-	}
-	if b.owner.Peek(id)[w.Index()] != MemoryOwner {
+	if b.PeekOwner(w) != MemoryOwner {
 		panic(fmt.Sprintf("l2: host write to registered %v", w))
 	}
-	b.data.Peek(id)[w.Index()] = v
+	b.backing.Write(w, v)
 }
 
 // Recall functionally returns ownership of one word to memory with the
 // given up-to-date value (host access between kernels). Not timed.
 func (b *Bank) Recall(w mem.Word, val uint32) {
-	id, ok := b.ids.Lookup(uint64(w.LineOf()))
-	if !ok {
-		b.backing.Write(w, val)
-		return
+	if id, ok := b.ids.Lookup(uint64(w.LineOf())); ok {
+		b.owner.Peek(id)[w.Index()] = MemoryOwner
 	}
-	b.owner.Peek(id)[w.Index()] = MemoryOwner
-	b.data.Peek(id)[w.Index()] = val
+	b.backing.Write(w, val)
 }
 
 // ForEachRegistered visits every word currently registered to an L1
@@ -511,7 +503,7 @@ func (b *Bank) RecallAll(node noc.NodeID, read func(w mem.Word) uint32) int {
 	n := 0
 	for id := int32(0); id < int32(b.ids.Len()); id++ {
 		l := mem.Line(b.ids.Key(id))
-		data, owner := b.data.Peek(id), b.owner.Peek(id)
+		data, owner := b.lines[id], b.owner.Peek(id)
 		for i := 0; i < mem.WordsPerLine; i++ {
 			if owner[i] == node {
 				data[i] = read(l.Word(i))

@@ -272,3 +272,133 @@ func TestRecallHelpers(t *testing.T) {
 		t.Fatalf("recallAll n=%d", n)
 	}
 }
+
+// A resident line's data is its storage in the memory image: a host
+// write to a cold line is what the first timed read returns, PeekData
+// agrees with the image before and after the fetch, and timed writes
+// land in the image.
+func TestBankSharesMemoryImage(t *testing.T) {
+	r := newRig()
+	bank := r.banks[9]
+	l := mem.Line(9)
+	bank.PokeData(l.Word(2), 77)
+	if bank.PeekData(l.Word(2)) != 77 || r.backing.Read(l.Word(2)) != 77 {
+		t.Fatal("host write to a cold line not visible")
+	}
+	read := func(src noc.NodeID) *coherence.Msg {
+		t.Helper()
+		r.l1s[src].got = nil
+		r.eng.Schedule(0, func() {
+			r.send(&coherence.Msg{Kind: coherence.ReadReq, Src: src, Dst: 9, Port: noc.PortL2, Line: l, Mask: mem.AllWords})
+		})
+		r.run(t)
+		if len(r.l1s[src].got) != 1 || r.l1s[src].got[0].Kind != coherence.ReadResp {
+			t.Fatalf("got %v", r.l1s[src].got)
+		}
+		return r.l1s[src].got[0]
+	}
+	if got := read(1); got.Data[2] != 77 {
+		t.Fatalf("timed read after install = %d, want the host's 77", got.Data[2])
+	}
+	if bank.PeekData(l.Word(2)) != 77 {
+		t.Fatal("PeekData changed across install")
+	}
+	var data [mem.WordsPerLine]uint32
+	data[3] = 5
+	r.eng.Schedule(0, func() {
+		r.send(&coherence.Msg{Kind: coherence.WriteThrough, Src: 2, Dst: 9, Port: noc.PortL2, Line: l, Mask: mem.Bit(3), Data: data})
+	})
+	r.run(t)
+	if r.backing.Read(l.Word(3)) != 5 {
+		t.Fatal("writethrough to a resident line did not reach the memory image")
+	}
+	bank.PokeData(l.Word(4), 8)
+	if got := read(1); got.Data[2] != 77 || got.Data[3] != 5 || got.Data[4] != 8 {
+		t.Fatalf("resident read = %v, want words 2..4 = 77, 5, 8", got.Data[2:5])
+	}
+	if r.st.Get("l2.dram_fetches") != 1 {
+		t.Fatalf("fetches = %d, want 1", r.st.Get("l2.dram_fetches"))
+	}
+}
+
+// Recall and RecallAll write the returned values into the memory image,
+// for resident and cold lines alike.
+func TestRecallLandsInMemoryImage(t *testing.T) {
+	r := newRig()
+	bank := r.banks[6]
+	l := mem.Line(6)
+	r.eng.Schedule(0, func() {
+		r.send(&coherence.Msg{Kind: coherence.RegReq, Src: 4, Dst: 6, Port: noc.PortL2, Line: l, Mask: mem.Bit(0) | mem.Bit(1)})
+	})
+	r.run(t)
+	bank.Recall(l.Word(0), 55)
+	if n := bank.RecallAll(4, func(mem.Word) uint32 { return 9 }); n != 1 {
+		t.Fatalf("RecallAll n = %d, want 1", n)
+	}
+	if r.backing.Read(l.Word(0)) != 55 || r.backing.Read(l.Word(1)) != 9 {
+		t.Fatal("recalled values not in the memory image")
+	}
+	cold := mem.Line(22) // also homed at bank 6, never fetched
+	bank.Recall(cold.Word(7), 31)
+	if r.backing.Read(cold.Word(7)) != 31 || bank.PeekData(cold.Word(7)) != 31 {
+		t.Fatal("recall of a cold word not in the memory image")
+	}
+	r.eng.Schedule(0, func() {
+		r.send(&coherence.Msg{Kind: coherence.ReadReq, Src: 2, Dst: 6, Port: noc.PortL2, Line: l, Mask: mem.AllWords})
+	})
+	r.run(t)
+	got := r.l1s[2].got
+	if len(got) != 1 || got[0].Mask != mem.AllWords || got[0].Data[0] != 55 || got[0].Data[1] != 9 {
+		t.Fatalf("read after recall = %+v", got)
+	}
+}
+
+// recycler is a noc.Sender that keeps the bank's responses so the
+// benchmark can send them back as requests: with both directions
+// pooled, a steady-state fill allocates nothing per line.
+type recycler struct{ free []*coherence.Msg }
+
+func (s *recycler) Send(p noc.Packet) { s.free = append(s.free, p.(*coherence.Msg)) }
+
+func (s *recycler) req(v coherence.Msg) *coherence.Msg {
+	if n := len(s.free); n > 0 {
+		m := s.free[n-1]
+		s.free = s.free[:n-1]
+		*m = v
+		return m
+	}
+	return &v
+}
+
+// BenchmarkBankInstall times the L2 bank's cold-read path — request,
+// DRAM fetch, install and response — for a batch of lines seeded by the
+// host, the fill pattern of every kernel's first touch. The mesh is
+// replaced by a recycling sink so only the bank is measured.
+func BenchmarkBankInstall(b *testing.B) {
+	const lines = 1024
+	st := stats.New()
+	meter := energy.NewMeter(st)
+	backing := mem.NewBacking()
+	for k := 0; k < lines; k++ {
+		l := mem.Line(k * noc.Nodes) // homed at bank 0
+		for i := 0; i < mem.WordsPerLine; i++ {
+			backing.Write(l.Word(i), uint32(k+i))
+		}
+	}
+	sink := &recycler{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eng := sim.NewEngine(0)
+		bank := l2.New(0, eng, sink, backing, st, meter)
+		b.StartTimer()
+		for k := 0; k < lines; k++ {
+			bank.Deliver(sink.req(coherence.Msg{Kind: coherence.ReadReq, Src: 1, Dst: 0, Port: noc.PortL2, Line: mem.Line(k * noc.Nodes), Mask: mem.AllWords}))
+		}
+		if err := eng.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
+}

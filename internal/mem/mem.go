@@ -87,36 +87,69 @@ func (m WordMask) Count() int {
 // the simulation is functional as well as timed: benchmarks compute real
 // results that tests verify. The zero value is ready to use; absent
 // words read as zero, like zero-initialized device memory.
+//
+// The image is paged at line granularity: a page holds pageLines whole
+// lines and is created zeroed by the first Write or Line that touches
+// it. Pages never move, so the line storage Line returns stays valid
+// for the life of the image; the L2 banks (and the MESI directory)
+// keep those pointers as their data rows, which makes the image the
+// one copy of every line's data.
 type Backing struct {
-	words map[Word]uint32
+	pages map[uint64]*page
+	// last caches the most recently used page so streaming host writes
+	// and sequential fills skip the map.
+	last    *page
+	lastNum uint64
 }
+
+// pageShift is log2 of the lines per page: 64 lines, 4 KB of data.
+const (
+	pageShift = 6
+	pageLines = 1 << pageShift
+)
+
+type page [pageLines][WordsPerLine]uint32
 
 // NewBacking returns an empty backing store.
-func NewBacking() *Backing { return &Backing{words: make(map[Word]uint32)} }
+func NewBacking() *Backing { return &Backing{} }
+
+// page returns the page holding line l, creating it if create is set;
+// without create, an absent page is nil.
+func (b *Backing) page(l Line, create bool) *page {
+	n := uint64(l) >> pageShift
+	if b.last != nil && b.lastNum == n {
+		return b.last
+	}
+	p := b.pages[n]
+	if p == nil {
+		if !create {
+			return nil
+		}
+		if b.pages == nil {
+			b.pages = make(map[uint64]*page)
+		}
+		p = new(page)
+		b.pages[n] = p
+	}
+	b.last, b.lastNum = p, n
+	return p
+}
 
 // Read returns the value of word w.
-func (b *Backing) Read(w Word) uint32 { return b.words[w] }
+func (b *Backing) Read(w Word) uint32 {
+	l := w.LineOf()
+	if p := b.page(l, false); p != nil {
+		return p[l&(pageLines-1)][w.Index()]
+	}
+	return 0
+}
 
 // Write sets the value of word w.
-func (b *Backing) Write(w Word, v uint32) { b.words[w] = v }
+func (b *Backing) Write(w Word, v uint32) { b.Line(w.LineOf())[w.Index()] = v }
 
-// ReadLine returns all 16 words of line l.
-func (b *Backing) ReadLine(l Line) [WordsPerLine]uint32 {
-	var vals [WordsPerLine]uint32
-	for i := 0; i < WordsPerLine; i++ {
-		vals[i] = b.words[l.Word(i)]
-	}
-	return vals
+// Line returns the storage of line l, materializing it zeroed if
+// absent. The pointer stays valid, and aliases the line, for the life
+// of the image.
+func (b *Backing) Line(l Line) *[WordsPerLine]uint32 {
+	return &b.page(l, true)[l&(pageLines-1)]
 }
-
-// WriteLine stores the words of l selected by mask.
-func (b *Backing) WriteLine(l Line, vals [WordsPerLine]uint32, mask WordMask) {
-	for i := 0; i < WordsPerLine; i++ {
-		if mask.Has(i) {
-			b.words[l.Word(i)] = vals[i]
-		}
-	}
-}
-
-// Footprint returns the number of distinct words ever written.
-func (b *Backing) Footprint() int { return len(b.words) }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -76,12 +77,31 @@ func TestBackingReadWrite(t *testing.T) {
 	if b.Read(Word(10)) != 0 {
 		t.Fatal("unwritten word should read 0")
 	}
+	if len(b.pages) != 0 {
+		t.Fatal("reading an unwritten word must not materialize a page")
+	}
 	b.Write(Word(10), 42)
 	if b.Read(Word(10)) != 42 {
 		t.Fatal("write not visible")
 	}
-	if b.Footprint() != 1 {
-		t.Fatalf("footprint = %d, want 1", b.Footprint())
+	if len(b.pages) != 1 {
+		t.Fatalf("pages = %d, want 1", len(b.pages))
+	}
+}
+
+// The zero Backing is ready to use: the page map is created on the
+// first write.
+func TestBackingZeroValue(t *testing.T) {
+	var b Backing
+	if b.Read(Word(1)) != 0 {
+		t.Fatal("zero Backing should read 0")
+	}
+	b.Write(Word(1), 2)
+	if b.Read(Word(1)) != 2 {
+		t.Fatal("write to zero Backing not visible")
+	}
+	if got := b.Line(Line(5))[3]; got != 0 {
+		t.Fatalf("fresh line word = %d, want 0", got)
 	}
 }
 
@@ -92,28 +112,33 @@ func TestBackingLineOps(t *testing.T) {
 		vals[i] = uint32(i * 100)
 	}
 	l := Line(7)
-	b.WriteLine(l, vals, Bit(3)|Bit(4))
-	got := b.ReadLine(l)
+	b.Write(l.Word(3), vals[3])
+	b.Write(l.Word(4), vals[4])
+	got := *b.Line(l)
 	for i := range got {
 		want := uint32(0)
 		if i == 3 || i == 4 {
 			want = uint32(i * 100)
 		}
 		if got[i] != want {
-			t.Fatalf("word %d = %d, want %d (mask-selective write leaked)", i, got[i], want)
+			t.Fatalf("word %d = %d, want %d (word write leaked)", i, got[i], want)
 		}
 	}
-	b.WriteLine(l, vals, AllWords)
-	got = b.ReadLine(l)
-	for i := range got {
-		if got[i] != vals[i] {
-			t.Fatalf("full-line write word %d = %d, want %d", i, got[i], vals[i])
+	*b.Line(l) = vals
+	for i := range vals {
+		if got := b.Read(l.Word(i)); got != vals[i] {
+			t.Fatalf("full-line write word %d = %d, want %d", i, got, vals[i])
+		}
+	}
+	for _, n := range []Line{l - 1, l + 1} {
+		if *b.Line(n) != ([WordsPerLine]uint32{}) {
+			t.Fatalf("line write leaked into %v", n)
 		}
 	}
 }
 
-// Property: a masked line write followed by a read returns written values
-// under the mask and leaves others untouched.
+// Property: word writes under a mask followed by a line read return the
+// written values under the mask and leave the other words untouched.
 func TestBackingMaskedWriteProperty(t *testing.T) {
 	f := func(line uint32, m uint16, seedVals [WordsPerLine]uint32) bool {
 		b := NewBacking()
@@ -122,15 +147,19 @@ func TestBackingMaskedWriteProperty(t *testing.T) {
 		for i := range base {
 			base[i] = uint32(i) + 1
 		}
-		b.WriteLine(l, base, AllWords)
-		b.WriteLine(l, seedVals, WordMask(m))
-		got := b.ReadLine(l)
+		*b.Line(l) = base
+		for i := 0; i < WordsPerLine; i++ {
+			if WordMask(m).Has(i) {
+				b.Write(l.Word(i), seedVals[i])
+			}
+		}
+		got := b.Line(l)
 		for i := 0; i < WordsPerLine; i++ {
 			want := base[i]
 			if WordMask(m).Has(i) {
 				want = seedVals[i]
 			}
-			if got[i] != want {
+			if got[i] != want || b.Read(l.Word(i)) != want {
 				return false
 			}
 		}
@@ -139,4 +168,85 @@ func TestBackingMaskedWriteProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestBackingDifferential runs a seeded random mix of Write, Read and
+// Line operations, clustered so they cross page boundaries, against a
+// per-word map reference. A Line pointer taken before any other page
+// exists must still alias its line after many pages are created.
+func TestBackingDifferential(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 2015))
+	b := NewBacking()
+	ref := make(map[Word]uint32)
+
+	// The last line of a page, next to a boundary the mix targets.
+	early := Line(3*pageLines - 1)
+	held := b.Line(early)
+	held[WordsPerLine-1] = 0xfeed
+	ref[early.Word(WordsPerLine-1)] = 0xfeed
+
+	// Words near page boundaries, in a handful of far-apart regions.
+	word := func() Word {
+		region := Word(rng.IntN(8)) << 30
+		boundary := Word(rng.IntN(64)+1) * pageLines * WordsPerLine
+		return region + boundary + Word(rng.IntN(4*WordsPerLine)) - 2*WordsPerLine
+	}
+	for step := 0; step < 50_000; step++ {
+		switch w := word(); rng.IntN(4) {
+		case 0, 1:
+			v := rng.Uint32()
+			b.Write(w, v)
+			ref[w] = v
+		case 2:
+			if got := b.Read(w); got != ref[w] {
+				t.Fatalf("step %d: Read(%v) = %d, want %d", step, w, got, ref[w])
+			}
+		case 3:
+			l := w.LineOf()
+			line := b.Line(l)
+			for i := range line {
+				if line[i] != ref[l.Word(i)] {
+					t.Fatalf("step %d: Line(%v)[%d] = %d, want %d", step, l, i, line[i], ref[l.Word(i)])
+				}
+			}
+			i := rng.IntN(WordsPerLine)
+			v := rng.Uint32()
+			line[i] = v
+			ref[l.Word(i)] = v
+		}
+	}
+	if len(b.pages) < 100 {
+		t.Fatalf("only %d pages created; the test must span many", len(b.pages))
+	}
+	for w, v := range ref {
+		if got := b.Read(w); got != v {
+			t.Fatalf("final Read(%v) = %d, want %d", w, got, v)
+		}
+	}
+	if held != b.Line(early) {
+		t.Fatal("early Line pointer no longer returned for its line")
+	}
+	for i := range held {
+		if held[i] != ref[early.Word(i)] {
+			t.Fatalf("early Line pointer word %d = %d, want %d", i, held[i], ref[early.Word(i)])
+		}
+	}
+	held[0] = 7
+	if b.Read(early.Word(0)) != 7 {
+		t.Fatal("write through an early Line pointer not visible to Read")
+	}
+}
+
+// BenchmarkBackingWrite streams host input seeding: consecutive words
+// over a 1 MB array, the pattern Machine.WriteWords drives.
+func BenchmarkBackingWrite(b *testing.B) {
+	const words = 1 << 18
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := NewBacking()
+		for w := Word(0); w < words; w++ {
+			m.Write(w, uint32(w))
+		}
+	}
+	b.SetBytes(words * WordBytes)
 }

@@ -10,8 +10,8 @@
 // indexed by id (one value per line: Dense) or by id*width+word (one
 // value per word: WordTable). Lookups on the access path collapse to
 // one hash probe to translate the address, then plain array arithmetic;
-// tables sharing one IDTable (an L2 bank's data, owner and touched
-// arrays; a controller's mask and value arrays) stay index-compatible
+// tables sharing one IDTable (an L2 bank's owner rows and line
+// pointers; a controller's mask and value arrays) stay index-compatible
 // for free.
 //
 // Ids are never recycled: lines that go cold keep their slot. The
