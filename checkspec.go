@@ -6,7 +6,7 @@ package denovogpu
 // cache key for a check result, and the canonical report/verdict
 // encodings. The same determinism contract applies — a check cell's
 // canonical report depends only on (code version, config, program,
-// budget, explorer, shard), never on which worker ran it — so check
+// budget, shard), never on which worker ran it — so check
 // results cache and distribute through exactly the same sweepd
 // machinery as simulation cells.
 //
@@ -47,16 +47,14 @@ type CheckShard struct {
 
 // CheckCellSpec is the wire form of one model-checking cell: a
 // configuration, a catalog litmus program by name, and the exploration
-// parameters. Budget <= 0 selects mcheck.DefaultBudget and Explorer ""
-// selects "dpor"; both are canonicalized before keying, so specs that
-// spell the defaults differently share a cache key. A nil Shard means
-// the whole exploration.
+// parameters. Budget <= 0 selects mcheck.DefaultBudget, canonicalized
+// before keying, so specs that spell the default differently share a
+// cache key. A nil Shard means the whole exploration.
 type CheckCellSpec struct {
-	Config   ConfigSpec  `json:"config"`
-	Program  string      `json:"program"`
-	Budget   int         `json:"budget,omitempty"`
-	Explorer string      `json:"explorer,omitempty"`
-	Shard    *CheckShard `json:"shard,omitempty"`
+	Config  ConfigSpec  `json:"config"`
+	Program string      `json:"program"`
+	Budget  int         `json:"budget,omitempty"`
+	Shard   *CheckShard `json:"shard,omitempty"`
 }
 
 // resolve canonicalizes the spec into runnable pieces.
@@ -69,26 +67,15 @@ func (s CheckCellSpec) resolve() (machine.Config, *litmus.Program, mcheck.Option
 	if err != nil {
 		return machine.Config{}, nil, mcheck.Options{}, err
 	}
-	name := s.Explorer
-	if name == "" {
-		name = "dpor"
-	}
-	ex, err := mcheck.ExplorerByName(name)
-	if err != nil {
-		return machine.Config{}, nil, mcheck.Options{}, err
-	}
-	if s.Shard != nil && ex != mcheck.ExplorerDPOR {
-		return machine.Config{}, nil, mcheck.Options{}, fmt.Errorf("denovogpu: sharded check cells require the dpor explorer, not %q", name)
-	}
 	budget := s.Budget
 	if budget <= 0 {
 		budget = mcheck.DefaultBudget
 	}
-	return cfg, p, mcheck.Options{Budget: budget, Explorer: ex}, nil
+	return cfg, p, mcheck.Options{Budget: budget}, nil
 }
 
-// Validate rejects unresolvable specs (unknown config, program or
-// explorer) without running anything; the coordinator calls it at
+// Validate rejects unresolvable specs (unknown config or program)
+// without running anything; the coordinator calls it at
 // submit so a job never discovers a bad cell halfway through.
 func (s CheckCellSpec) Validate() error {
 	_, _, _, err := s.resolve()
@@ -128,10 +115,10 @@ func LitmusProgramNames() []string {
 // CheckKey returns the canonical content address of one check cell,
 // following the CellKey recipe: hex SHA-256 over length-prefixed
 // (schema, code version, canonicalized config, program, budget,
-// explorer, shard). Budget and explorer are keyed post-canonicalization
-// and the shard part is the canonical JSON of the Shard ("" when nil),
-// so equivalent spellings share a key and anything that changes what
-// the cell explores changes it.
+// shard). Budget is keyed post-canonicalization and the shard part is
+// the canonical JSON of the Shard ("" when nil), so equivalent
+// spellings share a key and anything that changes what the cell
+// explores changes it.
 func CheckKey(codeVersion string, s CheckCellSpec) (string, error) {
 	cfg, p, opts, err := s.resolve()
 	if err != nil {
@@ -151,8 +138,8 @@ func CheckKey(codeVersion string, s CheckCellSpec) (string, error) {
 	}
 	h := sha256.New()
 	for _, part := range []string{
-		"denovogpu-check/v1", codeVersion, string(cfgJSON), p.Name,
-		fmt.Sprintf("%d", opts.Budget), opts.Explorer.String(), shard,
+		"denovogpu-check/v2", codeVersion, string(cfgJSON), p.Name,
+		fmt.Sprintf("%d", opts.Budget), shard,
 	} {
 		fmt.Fprintf(h, "%d:%s", len(part), part)
 	}
@@ -199,7 +186,6 @@ func SplitCheckCell(s CheckCellSpec, shards int) ([]CheckCellSpec, CheckReport, 
 		Schema:    checkReportSchema,
 		Program:   p.Name,
 		Config:    cfg.Name(),
-		Explorer:  opts.Explorer.String(),
 		Budget:    opts.Budget,
 		States:    plan.States,
 		Outcomes:  sortedOutcomeKeys(plan.Outcomes),
@@ -209,9 +195,8 @@ func SplitCheckCell(s CheckCellSpec, shards int) ([]CheckCellSpec, CheckReport, 
 	for i, u := range plan.Units {
 		c := s
 		// Canonicalized so every shard of a cell keys against the same
-		// budget and explorer spelling as its siblings.
+		// budget spelling as its siblings.
 		c.Budget = opts.Budget
-		c.Explorer = opts.Explorer.String()
 		c.Shard = &CheckShard{Index: i, Prefix: u.Prefix, Sleep: u.Sleep}
 		cells = append(cells, c)
 	}
@@ -236,7 +221,6 @@ type CheckReport struct {
 	Schema    string          `json:"schema"`
 	Program   string          `json:"program"`
 	Config    string          `json:"config"`
-	Explorer  string          `json:"explorer"`
 	Budget    int             `json:"budget"`
 	Shard     *CheckShard     `json:"shard,omitempty"`
 	States    int             `json:"states"`
@@ -245,10 +229,10 @@ type CheckReport struct {
 }
 
 // checkReportSchema versions the report encoding.
-const checkReportSchema = "denovogpu-checkreport/v1"
+const checkReportSchema = "denovogpu-checkreport/v2"
 
 // checkVerdictSchema versions the verdict encoding.
-const checkVerdictSchema = "denovogpu-checkverdict/v1"
+const checkVerdictSchema = "denovogpu-checkverdict/v2"
 
 // MarshalCheckReport serializes a report canonically (the cache
 // payload and sweepd report-endpoint format for check cells): two byte
@@ -287,12 +271,11 @@ func RunCheckCell(s CheckCellSpec) ([]byte, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	var res *mcheck.Result
+	var unit mcheck.Unit
 	if s.Shard != nil {
-		res, err = mcheck.CheckShard(cfg, p, opts, mcheck.Unit{Prefix: s.Shard.Prefix, Sleep: s.Shard.Sleep})
-	} else {
-		res, err = mcheck.Check(cfg, p, opts)
+		unit = mcheck.Unit{Prefix: s.Shard.Prefix, Sleep: s.Shard.Sleep}
 	}
+	res, err := mcheck.CheckShard(cfg, p, opts, unit)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -300,7 +283,6 @@ func RunCheckCell(s CheckCellSpec) ([]byte, int, error) {
 		Schema:    checkReportSchema,
 		Program:   p.Name,
 		Config:    cfg.Name(),
-		Explorer:  opts.Explorer.String(),
 		Budget:    opts.Budget,
 		Shard:     s.Shard,
 		States:    res.States,
@@ -340,7 +322,6 @@ type CheckVerdict struct {
 	Schema    string          `json:"schema"`
 	Program   string          `json:"program"`
 	Config    string          `json:"config"`
-	Explorer  string          `json:"explorer"`
 	Budget    int             `json:"budget"`
 	Outcomes  []string        `json:"outcomes"`
 	Violation *CheckViolation `json:"violation"`
@@ -353,23 +334,22 @@ type CheckVerdict struct {
 // deliberately absent: per-shard totals are deterministic, their sum
 // across shard counts is not, and the verdict is the artifact pinned
 // byte-for-byte against a serial run. Reports must agree on program,
-// config, explorer and budget.
+// config and budget.
 func MergeCheckVerdict(reports []CheckReport) (CheckVerdict, error) {
 	if len(reports) == 0 {
 		return CheckVerdict{}, fmt.Errorf("denovogpu: merging zero check reports")
 	}
 	v := CheckVerdict{
-		Schema:   checkVerdictSchema,
-		Program:  reports[0].Program,
-		Config:   reports[0].Config,
-		Explorer: reports[0].Explorer,
-		Budget:   reports[0].Budget,
+		Schema:  checkVerdictSchema,
+		Program: reports[0].Program,
+		Config:  reports[0].Config,
+		Budget:  reports[0].Budget,
 	}
 	union := make(map[string]bool)
 	for i, r := range reports {
-		if r.Program != v.Program || r.Config != v.Config || r.Explorer != v.Explorer || r.Budget != v.Budget {
-			return CheckVerdict{}, fmt.Errorf("denovogpu: check report %d (%s under %s, %s, budget %d) does not belong to cell %s under %s, %s, budget %d",
-				i, r.Program, r.Config, r.Explorer, r.Budget, v.Program, v.Config, v.Explorer, v.Budget)
+		if r.Program != v.Program || r.Config != v.Config || r.Budget != v.Budget {
+			return CheckVerdict{}, fmt.Errorf("denovogpu: check report %d (%s under %s, budget %d) does not belong to cell %s under %s, budget %d",
+				i, r.Program, r.Config, r.Budget, v.Program, v.Config, v.Budget)
 		}
 		for _, k := range r.Outcomes {
 			union[k] = true

@@ -13,21 +13,20 @@ func TestCheckKeyCanonicalization(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Explicitly spelled defaults share the key with omitted ones.
+	// An explicitly spelled default budget shares the key with an
+	// omitted one.
 	spelled := base
 	spelled.Budget = 20_000_000 // mcheck.DefaultBudget
-	spelled.Explorer = "dpor"
 	if k2, err := CheckKey("v1", spelled); err != nil || k2 != k1 {
-		t.Errorf("spelled-out defaults changed the key: %v %v", k2 == k1, err)
+		t.Errorf("spelled-out default budget changed the key: %v %v", k2 == k1, err)
 	}
 
 	// Anything that changes what the cell explores changes the key.
 	for name, mut := range map[string]CheckCellSpec{
-		"program":  {Config: ConfigSpec{Name: "DD"}, Program: "LB"},
-		"config":   {Config: ConfigSpec{Name: "DH"}, Program: "MP"},
-		"budget":   {Config: ConfigSpec{Name: "DD"}, Program: "MP", Budget: 1000},
-		"explorer": {Config: ConfigSpec{Name: "DD"}, Program: "MP", Explorer: "sleepset"},
-		"shard":    {Config: ConfigSpec{Name: "DD"}, Program: "MP", Shard: &CheckShard{Index: 1, Prefix: []uint32{7}}},
+		"program": {Config: ConfigSpec{Name: "DD"}, Program: "LB"},
+		"config":  {Config: ConfigSpec{Name: "DH"}, Program: "MP"},
+		"budget":  {Config: ConfigSpec{Name: "DD"}, Program: "MP", Budget: 1000},
+		"shard":   {Config: ConfigSpec{Name: "DD"}, Program: "MP", Shard: &CheckShard{Index: 1, Prefix: []uint32{7}}},
 	} {
 		k, err := CheckKey("v1", mut)
 		if err != nil {
@@ -43,10 +42,8 @@ func TestCheckKeyCanonicalization(t *testing.T) {
 
 	// Unresolvable specs are rejected.
 	for name, bad := range map[string]CheckCellSpec{
-		"program":        {Config: ConfigSpec{Name: "DD"}, Program: "NOPE"},
-		"config":         {Config: ConfigSpec{Name: "NOPE"}, Program: "MP"},
-		"explorer":       {Config: ConfigSpec{Name: "DD"}, Program: "MP", Explorer: "bfs"},
-		"sharded-sleeps": {Config: ConfigSpec{Name: "DD"}, Program: "MP", Explorer: "sleepset", Shard: &CheckShard{}},
+		"program": {Config: ConfigSpec{Name: "DD"}, Program: "NOPE"},
+		"config":  {Config: ConfigSpec{Name: "NOPE"}, Program: "MP"},
 	} {
 		if _, err := CheckKey("v1", bad); err == nil {
 			t.Errorf("bad %s accepted", name)
@@ -64,7 +61,7 @@ func TestRunCheckCellRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Program != "MP" || r.Config != "DD" || r.Explorer != "dpor" {
+	if r.Program != "MP" || r.Config != "DD" {
 		t.Errorf("report identity: %+v", r)
 	}
 	if r.States != states || states <= 0 {
@@ -200,7 +197,7 @@ func TestMergeCheckVerdictMismatch(t *testing.T) {
 	if _, err := MergeCheckVerdict(nil); err == nil {
 		t.Error("merging zero reports accepted")
 	}
-	a := CheckReport{Schema: "denovogpu-checkreport/v1", Program: "MP", Config: "DD", Explorer: "dpor", Budget: 100}
+	a := CheckReport{Schema: checkReportSchema, Program: "MP", Config: "DD", Budget: 100}
 	b := a
 	b.Config = "DH"
 	if _, err := MergeCheckVerdict([]CheckReport{a, b}); err == nil {

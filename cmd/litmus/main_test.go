@@ -215,6 +215,17 @@ func TestErrorPaths(t *testing.T) {
 	if code, _, _ := runCmd(t, "check", "stray"); code != 2 {
 		t.Fatalf("check stray arg: exit %d, want 2", code)
 	}
+	// The sleep-set explorer and its unreduced mode live in mcheck's
+	// tests now; their selectors are gone from the CLI.
+	for _, args := range [][]string{
+		{"check", "-explorer", "dpor"},
+		{"check", "-explorer", "sleepset"},
+		{"check", "-por=false"},
+	} {
+		if code, _, _ := runCmd(t, args...); code != 2 {
+			t.Fatalf("%v: exit %d, want 2", args, code)
+		}
+	}
 	if code, _, errb := runCmd(t, "-replay", "/nonexistent/case.json"); code != 1 || !strings.Contains(errb, "no such file") {
 		t.Fatalf("missing file: exit %d, stderr: %s", code, errb)
 	}

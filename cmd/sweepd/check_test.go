@@ -19,7 +19,7 @@ func TestCheckUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"check", "-nope"},
 		{"check", "stray"},
-		{"check", "-local", "-explorer", "bfs"},
+		{"check", "-local", "-explorer", "dpor"}, // one explorer, no selector
 		{"check", "-server", "http://x", "-shards", "2", "-explorer", "sleepset"},
 		{"check", "-local", "-programs", "NOPE"},
 		{"check", "-local", "-configs", "NOPE"},

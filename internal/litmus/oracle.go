@@ -180,19 +180,19 @@ func Oracle(p *Program, model consistency.Model, stateLimit int) (map[string]Out
 	}
 
 	outcomes := make(map[string]Outcome)
-	visited := make(map[string]bool)
+	seen := make(map[string]bool)
 	stack := []*oracleState{init}
-	visited[init.key()] = true
+	seen[init.key()] = true
 
 	push := func(s *oracleState) error {
 		k := s.key()
-		if visited[k] {
+		if seen[k] {
 			return nil
 		}
-		if len(visited) >= stateLimit {
+		if len(seen) >= stateLimit {
 			return &StateLimitError{Limit: stateLimit, Program: p.Name}
 		}
-		visited[k] = true
+		seen[k] = true
 		stack = append(stack, s)
 		return nil
 	}

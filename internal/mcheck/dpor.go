@@ -2,6 +2,7 @@ package mcheck
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"denovogpu/internal/coherence"
@@ -10,15 +11,13 @@ import (
 
 // Stateless source-DPOR exploration (Abdulla, Aronis, Jonsson,
 // Sagonas: "Source Sets: A Foundation for Optimal Dynamic Partial
-// Order Reduction", adapted to this transition system). Where the
-// legacy explorer (explore.go) prunes with a visited table keyed by a
-// canonical state encoding — memory proportional to the number of
-// distinct states — this explorer keeps only the current execution: a
-// stack of frames, one per depth, each holding a cloned state, the
+// Order Reduction", adapted to this transition system). The explorer
+// keeps no table of seen states, only the current execution: a stack
+// of frames, one per depth, each holding a cloned state, the
 // happens-before clock of its incoming event, and the backtrack/sleep
 // bookkeeping of the node. Peak memory is O(depth), independent of how
-// many states the search visits, which is what lets the budget rise
-// from state-table scale (~2M) to tens of millions.
+// many states the search reaches, which is what lets the budget run to
+// tens of millions of nodes.
 //
 // The transition-id-as-process abstraction: a trans value is treated
 // as a "process" — at any state it denotes at most one enabled action
@@ -28,11 +27,11 @@ import (
 // with the same trans id share a footprint bit and are therefore
 // dependent.
 //
-// Dependence uses a *dynamic* footprint (dynFootprint), finer than the
-// legacy explorer's static one. The legacy relation is per-CU: any two
-// transitions touching the same CU are dependent. That coarseness is
-// nearly free under a visited table — both orders of a commuting pair
-// re-converge on a hashed state — but fatal for stateless search,
+// Dependence uses a *dynamic* footprint (dynFootprint), finer than a
+// static per-CU relation in which any two transitions touching the
+// same CU are dependent. That coarseness is nearly free to an explorer
+// that hashes the states it has seen — both orders of a commuting pair
+// re-converge on one state — but fatal for stateless search,
 // which would walk both orders of every same-CU diamond (background
 // actions, acks, and thread steps on *different* words commute
 // constantly) and multiply them. The dynamic footprint separates
@@ -53,8 +52,9 @@ import (
 // writethroughs oldest-first) targets per-word channels, so the
 // resulting states differ only in dead bytes. Both exclusions — and
 // the relation as a whole — are checked empirically by the
-// TestDPORConformance differential wall against the unreduced and
-// sleep-set explorers.
+// TestDPORConformance differential wall against the test-side
+// conformance oracle: an unreduced search and a sleep-set search over
+// hashed states with the static per-CU relation (oracle_test.go).
 //
 // Happens-before is the transitive closure of the footprint-dependency
 // order within one execution: event i happens-before event n iff i < n
@@ -83,13 +83,12 @@ import (
 // always-sound Flanagan-Godefroid degenerate case and is rare in
 // practice.
 //
-// Sleep sets are carried exactly as in the legacy explorer: a child
-// inherits the parent's sleep entries plus its already-explored
-// siblings, filtered to those independent of the taken transition; a
-// node whose enabled set is entirely asleep is a redundant prefix and
-// is abandoned. The reported States metric counts frames visited
-// (executed transitions plus the root), the stateless analogue of the
-// legacy explorer's expanded-node count.
+// Sleep sets are the classic ones: a child inherits the parent's
+// sleep entries plus its already-explored siblings, filtered to those
+// independent of the taken transition; a node whose enabled set is
+// entirely asleep is a redundant prefix and is abandoned. The reported
+// States metric counts frames entered (executed transitions plus the
+// root).
 
 // ebits is a growable bitset over event indices (execution depths).
 type ebits []uint64
@@ -262,7 +261,7 @@ type dframe struct {
 	fp    uint64 // its footprint
 	clock ebits  // its happens-before predecessors
 
-	visited bool
+	entered bool
 	enab    []trans
 	enabFp  []uint64
 	back    []bool // scheduled for exploration (the backtrack set)
@@ -280,10 +279,11 @@ func resize[T any](b []T, n int) []T {
 	return b
 }
 
-// exploreDPOR runs stateless source-DPOR over unit. It returns frames
-// visited below the cut (the prefix was counted once by the split
-// phase), terminal outcomes, and the first violation in deterministic
-// DFS order, or a *BudgetError carrying progress at exhaustion.
+// exploreDPOR runs stateless source-DPOR over unit, which checkUnit
+// has accepted. It returns frames entered below the cut (the prefix
+// was counted once by the split phase), terminal outcomes, and the
+// first violation in deterministic DFS order, or a *BudgetError
+// carrying progress at exhaustion.
 func (m *model) exploreDPOR(oracle map[string]litmus.Outcome, budget int, unit Unit) (int, map[string]litmus.Outcome, *Violation, error) {
 	outcomes := make(map[string]litmus.Outcome)
 	states := 0
@@ -293,29 +293,22 @@ func (m *model) exploreDPOR(oracle map[string]litmus.Outcome, budget int, unit U
 	stack := make([]dframe, 1, 64)
 	stack[0] = dframe{s: m.initial()}
 
-	// violation reports the top frame. Its trace is rendered from each
-	// frame's state and the transition taken out of it.
-	violation := func(name, detail string, obs *litmus.Outcome) *Violation {
-		trace := make([]string, len(stack)-1)
+	// trace renders the path to the top frame from each frame's state
+	// and the transition taken out of it.
+	trace := func() []string {
+		tr := make([]string, len(stack)-1)
 		for k := 1; k < len(stack); k++ {
-			trace[k-1] = m.label(stack[k-1].s, stack[k].t)
+			tr[k-1] = m.label(stack[k-1].s, stack[k].t)
 		}
-		return &Violation{
-			Invariant: name,
-			Detail:    detail,
-			Config:    m.mcfg,
-			Program:   m.p,
-			Observed:  obs,
-			Trace:     trace,
-		}
+		return tr
 	}
 
 	for len(stack) > 0 {
 		d := len(stack) - 1
 		fr := &stack[d]
 
-		if !fr.visited {
-			fr.visited = true
+		if !fr.entered {
+			fr.entered = true
 			s := fr.s
 			if d >= cut {
 				if states >= budget {
@@ -326,37 +319,13 @@ func (m *model) exploreDPOR(oracle map[string]litmus.Outcome, budget int, unit U
 				}
 				states++
 			}
-			if s.viol != "" {
-				return states, outcomes, violation(s.viol, s.violDetail, nil), nil
+			var f fault
+			if fr.enab, f = m.visit(s, oracle, outcomes, fr.enab); f.invariant != "" {
+				return states, outcomes, m.violation(f, trace()), nil
 			}
-			if name, detail := m.checkInvariants(s); name != "" {
-				return states, outcomes, violation(name, detail, nil), nil
-			}
-			if m.terminal(s) {
-				if !m.outcomeInto(&m.out, s) {
-					return states, outcomes, violation(s.viol, s.violDetail, nil), nil
-				}
-				// Only an outcome not seen before is checked and copied
-				// out; a seen key was already permitted.
-				m.key = m.out.AppendKey(m.key[:0])
-				if _, seen := outcomes[string(m.key)]; !seen {
-					k := string(m.key)
-					o, _ := m.outcome(s)
-					if _, permitted := oracle[k]; !permitted {
-						return states, outcomes, violation("oracle-conformance",
-							fmt.Sprintf("reachable outcome %s is not permitted by the %v oracle", k, m.cfg.model),
-							&o), nil
-					}
-					outcomes[k] = o
-				}
+			if len(fr.enab) == 0 { // terminal
 				stack = stack[:d]
 				continue
-			}
-			fr.enab = m.enabledInto(fr.enab, s)
-			if len(fr.enab) == 0 {
-				return states, outcomes, violation("deadlock",
-					"no transition enabled in a non-terminal state (lost wakeup or stranded request)",
-					nil), nil
 			}
 			fr.enabFp = resize(fr.enabFp, len(fr.enab))
 			for i, t := range fr.enab {
@@ -367,21 +336,9 @@ func (m *model) exploreDPOR(oracle map[string]litmus.Outcome, budget int, unit U
 			switch {
 			case d < cut:
 				// Prefix replay: the split phase already branched here; take
-				// exactly the shard's transition.
-				want := trans(unit.Prefix[d])
-				found := false
-				for i, t := range fr.enab {
-					if t == want {
-						fr.back[i] = true
-						found = true
-						break
-					}
-				}
-				if !found {
-					return states, outcomes, nil, fmt.Errorf(
-						"mcheck: shard prefix transition %#x not enabled at depth %d of %q under %s (stale shard?)",
-						unit.Prefix[d], d, m.p.Name, m.mcfg.Name())
-				}
+				// exactly the shard's transition, which checkUnit proved
+				// enabled.
+				fr.back[slices.Index(fr.enab, trans(unit.Prefix[d]))] = true
 			default:
 				if d == cut && len(unit.Sleep) > 0 {
 					fr.sleep = fr.sleep[:0]
@@ -451,9 +408,68 @@ func (m *model) exploreDPOR(oracle map[string]litmus.Outcome, budget int, unit U
 			ch.s = new(state)
 		}
 		m.applyInto(ch.s, fr.s, t)
-		ch.t, ch.fp, ch.visited = t, ft, false
+		ch.t, ch.fp, ch.entered = t, ft, false
 	}
 	return states, outcomes, nil, nil
+}
+
+// fault is a violation found at one node, before the trace that
+// reaches the node is attached.
+type fault struct {
+	invariant string
+	detail    string
+	observed  *litmus.Outcome
+}
+
+func (m *model) violation(f fault, trace []string) *Violation {
+	return &Violation{
+		Invariant: f.invariant,
+		Detail:    f.detail,
+		Config:    m.mcfg,
+		Program:   m.p,
+		Observed:  f.observed,
+		Trace:     trace,
+	}
+}
+
+// visit is the check every explored node gets, from exploreDPOR and
+// the split phase alike: a protocol-step violation recorded while
+// reaching s, the invariant suite, then either the terminal outcome or
+// the enabled transitions (written into enab[:0]); a non-terminal node
+// with none is a deadlock. A terminal outcome not in outcomes yet is checked against
+// the oracle and recorded; one already seen was already permitted, so
+// the common case renders only its key, into a buffer on m. A fault
+// with an invariant name is a violation; otherwise an empty enab means
+// s is terminal.
+func (m *model) visit(s *state, oracle, outcomes map[string]litmus.Outcome, enab []trans) ([]trans, fault) {
+	enab = enab[:0]
+	if s.viol != "" {
+		return enab, fault{invariant: s.viol, detail: s.violDetail}
+	}
+	if name, detail := m.checkInvariants(s); name != "" {
+		return enab, fault{invariant: name, detail: detail}
+	}
+	if m.terminal(s) {
+		if !m.outcomeInto(&m.out, s) {
+			return enab, fault{invariant: s.viol, detail: s.violDetail}
+		}
+		m.key = m.out.AppendKey(m.key[:0])
+		if _, seen := outcomes[string(m.key)]; !seen {
+			k := string(m.key)
+			o, _ := m.outcome(s)
+			if _, permitted := oracle[k]; !permitted {
+				return enab, fault{"oracle-conformance",
+					fmt.Sprintf("reachable outcome %s is not permitted by the %v oracle", k, m.cfg.model), &o}
+			}
+			outcomes[k] = o
+		}
+		return enab, fault{}
+	}
+	if enab = m.enabledInto(enab, s); len(enab) == 0 {
+		return enab, fault{invariant: "deadlock",
+			detail: "no transition enabled in a non-terminal state (lost wakeup or stranded request)"}
+	}
+	return enab, fault{}
 }
 
 // racesOnAppend computes the happens-before clock of the event about

@@ -6,9 +6,12 @@
 // registration (eager or lazy), or MESI's sequentially consistent
 // observable behavior — checking a machine-readable invariant suite
 // on every reachable state and the consistency oracle on every
-// terminal outcome. Sleep-set partial-order reduction over a
-// footprint-based independence relation keeps the enumeration
-// tractable at litmus-program sizes.
+// terminal outcome. The one explorer is stateless source-DPOR
+// (dpor.go): dynamic partial-order reduction with sleep sets over a
+// footprint-based dependence relation keeps the enumeration tractable
+// at litmus-program sizes in memory proportional to execution depth,
+// and an exploration splits into prefix Units (shard.go) that run
+// independently and merge deterministically.
 //
 // The model abstracts the cycle-level simulator but keeps the
 // properties the protocols rely on: per-(source, destination, word)
@@ -33,48 +36,10 @@ import (
 )
 
 // DefaultBudget bounds exploration per (configuration, program). The
-// stateless DPOR explorer's memory is O(depth) regardless of budget,
-// so the default is sized for deep checks rather than for the visited
-// table that used to cap it at 2M; the bound exists so generated
-// programs cannot wedge a CI run.
+// explorer's memory is O(depth) regardless of budget, so the default
+// is sized for deep checks; the bound exists so generated programs
+// cannot wedge a CI run.
 const DefaultBudget = 20_000_000
-
-// Explorer selects the exploration algorithm.
-type Explorer int
-
-const (
-	// ExplorerDPOR is the default: stateless source-DPOR (dpor.go).
-	// Peak memory is O(execution depth) — independent of the number of
-	// states visited — so budgets in the tens of millions run at flat
-	// RSS, and explorations split into Units for distribution.
-	ExplorerDPOR Explorer = iota
-	// ExplorerSleepSet is the legacy explorer (explore.go): sleep-set
-	// POR with a canonical-encoding visited table. Kept as the
-	// reference implementation for the differential wall; peak memory
-	// grows with the visited set.
-	ExplorerSleepSet
-)
-
-func (e Explorer) String() string {
-	switch e {
-	case ExplorerDPOR:
-		return "dpor"
-	case ExplorerSleepSet:
-		return "sleepset"
-	}
-	return fmt.Sprintf("Explorer(%d)", int(e))
-}
-
-// ExplorerByName parses an explorer name ("dpor" or "sleepset").
-func ExplorerByName(name string) (Explorer, error) {
-	switch name {
-	case "dpor":
-		return ExplorerDPOR, nil
-	case "sleepset":
-		return ExplorerSleepSet, nil
-	}
-	return 0, fmt.Errorf("mcheck: unknown explorer %q (want dpor or sleepset)", name)
-}
 
 // Options tunes a Check call.
 type Options struct {
@@ -82,18 +47,17 @@ type Options struct {
 	// returns a *BudgetError. In a sharded run the budget applies per
 	// unit (each shard enforces it independently).
 	Budget int
-	// Explorer selects the algorithm; the zero value is ExplorerDPOR.
-	Explorer Explorer
-	// DisablePOR explores the full interleaving graph with no
-	// reduction at all (it implies ExplorerSleepSet, whose unreduced
-	// DFS is the ground truth). Exists to validate the reductions
-	// (same outcomes, same verdict) and for debugging; expect orders
-	// of magnitude more states.
-	DisablePOR bool
 	// OracleStateLimit is passed through to litmus.Oracle (<= 0 uses
 	// its default). A *litmus.StateLimitError from the oracle is
 	// returned as an error, never as a violation.
 	OracleStateLimit int
+}
+
+func (o Options) budget() int {
+	if o.Budget <= 0 {
+		return DefaultBudget
+	}
+	return o.Budget
 }
 
 // Result is a completed exploration.
@@ -179,39 +143,29 @@ func Configs() []machine.Config {
 	return append(cfgs, lazy)
 }
 
-// Check exhaustively explores program p under configuration cfg.
-// A Violation is reported in the Result, not as an error; errors are
-// invalid programs, oracle state-limit exhaustion
-// (*litmus.StateLimitError), or exploration budget exhaustion
-// (*BudgetError).
+// Check exhaustively explores program p under configuration cfg: the
+// zero-Unit case of CheckShard. A Violation is reported in the Result,
+// not as an error; errors are invalid programs, oracle state-limit
+// exhaustion (*litmus.StateLimitError), or exploration budget
+// exhaustion (*BudgetError).
 func Check(cfg machine.Config, p *litmus.Program, opts Options) (*Result, error) {
+	return CheckShard(cfg, p, opts, Unit{})
+}
+
+// prepare is the prologue of every exploration: validate p, bind it to
+// cfg's abstract machine, and compute the outcomes cfg's consistency
+// model permits.
+func prepare(cfg machine.Config, p *litmus.Program, opts Options) (*model, map[string]litmus.Outcome, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m, err := newModel(cfg, p)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	oracle, err := litmus.Oracle(p, cfg.Model, opts.OracleStateLimit)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	budget := opts.Budget
-	if budget <= 0 {
-		budget = DefaultBudget
-	}
-	var (
-		states   int
-		outcomes map[string]litmus.Outcome
-		viol     *Violation
-	)
-	if opts.Explorer == ExplorerSleepSet || opts.DisablePOR {
-		states, outcomes, viol, err = m.explore(oracle, budget, opts.DisablePOR)
-	} else {
-		states, outcomes, viol, err = m.exploreDPOR(oracle, budget, Unit{})
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Result{States: states, Outcomes: outcomes, Violation: viol}, nil
+	return m, oracle, nil
 }

@@ -2,30 +2,39 @@ package mcheck
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"denovogpu/internal/litmus"
 	"denovogpu/internal/machine"
 )
 
+// heavyCell reports the catalog cells every default test run skips:
+// the four-thread and three-CU shapes under DeNovo. They run to tens of
+// millions of DPOR nodes (minutes of wall clock each; far more under
+// the race detector), and IRIW+scoped under DD/DD+RO/DH+lazy exceeds
+// any affordable stateless budget outright (see EXPERIMENTS.md:
+// co-located sync threads make acquire self-invalidation conflict with
+// every same-CU cache mutation, so the Mazurkiewicz trace count dwarfs
+// the 218k-state space). The CI mcheck job covers them through
+// `litmus check` at the default budget and TestDPORConformance -full
+// on every push; skipping them here keeps the plain `go test ./...`
+// wall bounded.
+func heavyCell(cfg machine.Config, p *litmus.Program) bool {
+	switch p.Name {
+	case "IRIW+sync", "IRIW+scoped", "ISA2+transitive":
+		return cfg.Protocol == machine.ProtoDeNovo
+	}
+	return false
+}
+
 // TestCatalogClean exhaustively checks every catalog shape under every
 // configuration (the litmus six plus DH+lazy): no invariant violation,
 // no oracle non-conformance, within the default budget.
 func TestCatalogClean(t *testing.T) {
-	// The four-thread and three-CU DeNovo cells run to tens of millions
-	// of DPOR nodes (minutes of wall clock each; far more under the
-	// race detector), and IRIW+scoped under DD/DD+RO/DH+lazy exceeds
-	// any affordable stateless budget outright (see EXPERIMENTS.md:
-	// co-located sync threads make acquire self-invalidation conflict
-	// with every same-CU cache mutation, so the Mazurkiewicz trace
-	// count dwarfs the 218k-state space). The CI mcheck job covers the
-	// heavy cells through `litmus check` at the default budget on every
-	// push; skip them here unconditionally so the plain `go test ./...`
-	// wall stays bounded.
-	heavy := map[string]bool{"IRIW+sync": true, "IRIW+scoped": true, "ISA2+transitive": true}
 	for _, cfg := range Configs() {
 		for _, e := range litmus.Catalog() {
-			if heavy[e.Program.Name] && cfg.Protocol == machine.ProtoDeNovo {
+			if heavyCell(cfg, e.Program) {
 				continue
 			}
 			res, err := Check(cfg, e.Program, Options{})
@@ -43,9 +52,10 @@ func TestCatalogClean(t *testing.T) {
 	}
 }
 
-// TestPORSoundOnCatalog validates the sleep-set reduction: with and
-// without POR, exploration reaches exactly the same terminal outcomes
-// and the same verdict.
+// TestPORSoundOnCatalog validates both reductions against the
+// unreduced ground truth: source-DPOR and the oracle's sleep-set
+// search reach exactly the terminal outcomes, and the verdict, of the
+// oracle's unreduced search.
 func TestPORSoundOnCatalog(t *testing.T) {
 	shapes := map[string]bool{"MP": true, "SB+sync": true, "CoRR": true, "LB": true}
 	for _, cfg := range Configs() {
@@ -53,27 +63,25 @@ func TestPORSoundOnCatalog(t *testing.T) {
 			if !shapes[e.Program.Name] {
 				continue
 			}
-			por, err := Check(cfg, e.Program, Options{})
+			full, err := oracleCheck(cfg, e.Program, Options{}, true)
 			if err != nil {
-				t.Fatalf("%s / %s (POR): %v", cfg.Name(), e.Program.Name, err)
+				t.Fatalf("%s / %s (unreduced): %v", cfg.Name(), e.Program.Name, err)
 			}
-			full, err := Check(cfg, e.Program, Options{DisablePOR: true})
+			dpor, err := Check(cfg, e.Program, Options{})
 			if err != nil {
-				t.Fatalf("%s / %s (full): %v", cfg.Name(), e.Program.Name, err)
+				t.Fatalf("%s / %s (dpor): %v", cfg.Name(), e.Program.Name, err)
 			}
-			if (por.Violation == nil) != (full.Violation == nil) {
-				t.Fatalf("%s / %s: POR verdict %v, full verdict %v",
-					cfg.Name(), e.Program.Name, por.Violation, full.Violation)
+			ss, err := oracleCheck(cfg, e.Program, Options{}, false)
+			if err != nil {
+				t.Fatalf("%s / %s (sleepset): %v", cfg.Name(), e.Program.Name, err)
 			}
-			for k := range full.Outcomes {
-				if _, ok := por.Outcomes[k]; !ok {
-					t.Errorf("%s / %s: outcome %s reachable without POR but missed with it",
-						cfg.Name(), e.Program.Name, k)
+			for name, por := range map[string]*Result{"dpor": dpor, "sleepset": ss} {
+				if (por.Violation == nil) != (full.Violation == nil) {
+					t.Fatalf("%s / %s: %s verdict %v, unreduced verdict %v",
+						cfg.Name(), e.Program.Name, name, por.Violation, full.Violation)
 				}
-			}
-			for k := range por.Outcomes {
-				if _, ok := full.Outcomes[k]; !ok {
-					t.Errorf("%s / %s: outcome %s found only with POR", cfg.Name(), e.Program.Name, k)
+				if pk, fk := outcomeKeys(por.Outcomes), outcomeKeys(full.Outcomes); !slices.Equal(pk, fk) {
+					t.Errorf("%s / %s: %s outcomes %v, unreduced %v", cfg.Name(), e.Program.Name, name, pk, fk)
 				}
 			}
 		}
@@ -100,7 +108,7 @@ func TestWeakOutcomesReachable(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Fatalf("SB+data weak outcome unreachable in the GD model; outcomes: %v", keys(res.Outcomes))
+			t.Fatalf("SB+data weak outcome unreachable in the GD model; outcomes: %v", outcomeKeys(res.Outcomes))
 		}
 		return
 	}
@@ -203,12 +211,4 @@ func TestProgramLimits(t *testing.T) {
 	if _, err := Check(machine.GD(), many, Options{}); err == nil {
 		t.Fatal("program with too many threads accepted")
 	}
-}
-
-func keys(m map[string]litmus.Outcome) []string {
-	var ks []string
-	for k := range m {
-		ks = append(ks, k)
-	}
-	return ks
 }

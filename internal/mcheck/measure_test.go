@@ -19,7 +19,8 @@ import (
 // It prints, per (config, program, explorer): states, outcomes, wall
 // time, and the peak live heap sampled while the exploration ran (the
 // number that separates the O(depth) DPOR explorer from the
-// O(visited) sleep-set table).
+// conformance oracle's O(visited) sleep-set table). The explorer filter
+// takes dpor or sleepset.
 func TestMeasureExplorers(t *testing.T) {
 	sel := os.Getenv("MCHECK_MEASURE")
 	if sel == "" {
@@ -33,14 +34,7 @@ func TestMeasureExplorers(t *testing.T) {
 	for _, n := range split(os.Getenv("MCHECK_MEASURE_CFG")) {
 		wantCfg[n] = true
 	}
-	explorers := []Explorer{ExplorerDPOR, ExplorerSleepSet}
-	if name := os.Getenv("MCHECK_MEASURE_EXPLORER"); name != "" {
-		ex, err := ExplorerByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		explorers = []Explorer{ex}
-	}
+	wantEx := os.Getenv("MCHECK_MEASURE_EXPLORER")
 	for _, e := range litmus.Catalog() {
 		if !want[e.Program.Name] {
 			continue
@@ -53,6 +47,9 @@ func TestMeasureExplorers(t *testing.T) {
 				continue
 			}
 			for _, ex := range explorers {
+				if wantEx != "" && ex.name != wantEx {
+					continue
+				}
 				runtime.GC()
 				var m0 runtime.MemStats
 				runtime.ReadMemStats(&m0)
@@ -75,16 +72,16 @@ func TestMeasureExplorers(t *testing.T) {
 					}
 				}()
 				st := time.Now()
-				res, err := Check(cfg, e.Program, Options{Explorer: ex, Budget: 40_000_000})
+				res, err := ex.check(cfg, e.Program, Options{Budget: 40_000_000})
 				el := time.Since(st)
 				close(stop)
 				<-done
 				if err != nil {
-					fmt.Printf("%-8s %-16s %-8s ERR %v (%.1fs)\n", cfg.Name(), e.Program.Name, ex, err, el.Seconds())
+					fmt.Printf("%-8s %-16s %-8s ERR %v (%.1fs)\n", cfg.Name(), e.Program.Name, ex.name, err, el.Seconds())
 					continue
 				}
 				fmt.Printf("%-8s %-16s %-8s %9d states %2d outcomes %7.2fs %7.1f MB peak heap\n",
-					cfg.Name(), e.Program.Name, ex, res.States, len(res.Outcomes), el.Seconds(),
+					cfg.Name(), e.Program.Name, ex.name, res.States, len(res.Outcomes), el.Seconds(),
 					float64(peak)/1e6)
 			}
 		}

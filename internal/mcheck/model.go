@@ -300,10 +300,6 @@ type model struct {
 	nc        int
 	threadCU  []uint8
 	cuThreads [][]int
-	// scVarMask is, per thread, the home-variable footprint bits of
-	// every variable the thread touches — the state-independent
-	// footprint of its SC steps.
-	scVarMask []uint32
 
 	// Scratch buffers reused across transitions so the DPOR hot path
 	// does not allocate. They make a model single-goroutine.
@@ -328,7 +324,6 @@ func newModel(cfg machine.Config, p *litmus.Program) (*model, error) {
 	}
 	cuSlot := make(map[int]int)
 	m.threadCU = make([]uint8, m.nt)
-	m.scVarMask = make([]uint32, m.nt)
 	for i, t := range p.Threads {
 		if len(t.Ops) > maxOpsPerThread {
 			return nil, fmt.Errorf("mcheck: program %q thread %d has %d ops (limit %d)", p.Name, i, len(t.Ops), maxOpsPerThread)
@@ -341,9 +336,6 @@ func newModel(cfg machine.Config, p *litmus.Program) (*model, error) {
 		}
 		m.threadCU[i] = uint8(slot)
 		m.cuThreads[slot] = append(m.cuThreads[slot], i)
-		for _, op := range t.Ops {
-			m.scVarMask[i] |= 1 << (8 + op.Var)
-		}
 	}
 	m.nc = len(cuSlot)
 	if m.nc > maxCUs {

@@ -2,6 +2,7 @@ package mcheck
 
 import (
 	"fmt"
+	"slices"
 
 	"denovogpu/internal/litmus"
 	"denovogpu/internal/machine"
@@ -66,69 +67,28 @@ type splitNode struct {
 }
 
 // Split partitions the exploration of p under cfg into at least target
-// independent units (branching permitting). Requires the DPOR
-// explorer; the sleep-set explorer's visited table cannot be sharded.
+// independent units (branching permitting).
 func Split(cfg machine.Config, p *litmus.Program, opts Options, target int) (*SplitPlan, error) {
-	if opts.DisablePOR || opts.Explorer == ExplorerSleepSet {
-		return nil, fmt.Errorf("mcheck: sharded exploration requires the DPOR explorer")
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	m, err := newModel(cfg, p)
-	if err != nil {
-		return nil, err
-	}
-	oracle, err := litmus.Oracle(p, cfg.Model, opts.OracleStateLimit)
+	m, oracle, err := prepare(cfg, p, opts)
 	if err != nil {
 		return nil, err
 	}
 
 	plan := &SplitPlan{Outcomes: make(map[string]litmus.Outcome)}
-	violation := func(name, detail string, obs *litmus.Outcome, prefix []uint32) *SplitPlan {
-		path := make([]trans, len(prefix))
-		for i, t := range prefix {
-			path[i] = trans(t)
-		}
-		plan.Units = nil
-		plan.Violation = &Violation{
-			Invariant: name, Detail: detail, Config: m.mcfg, Program: m.p,
-			Observed: obs, Trace: m.traceOf(path),
-		}
-		return plan
-	}
-
 	frontier := []splitNode{{s: m.initial()}}
 	for depth := 0; depth < maxSplitDepth && len(frontier) > 0 && len(frontier) < target; depth++ {
 		var next []splitNode
 		for _, nd := range frontier {
 			plan.States++
 			s := nd.s
-			if s.viol != "" {
-				return violation(s.viol, s.violDetail, nil, nd.prefix), nil
-			}
-			if name, detail := m.checkInvariants(s); name != "" {
-				return violation(name, detail, nil, nd.prefix), nil
-			}
-			if m.terminal(s) {
-				o, ok := m.outcome(s)
-				if !ok {
-					return violation(s.viol, s.violDetail, nil, nd.prefix), nil
+			enab, f := m.visit(s, oracle, plan.Outcomes, nil)
+			if f.invariant != "" {
+				path := make([]trans, len(nd.prefix))
+				for i, t := range nd.prefix {
+					path[i] = trans(t)
 				}
-				k := o.Key()
-				if _, permitted := oracle[k]; !permitted {
-					return violation("oracle-conformance",
-						fmt.Sprintf("reachable outcome %s is not permitted by the %v oracle", k, m.cfg.model),
-						&o, nd.prefix), nil
-				}
-				plan.Outcomes[k] = o
-				continue
-			}
-			enab := m.enabledInto(nil, s)
-			if len(enab) == 0 {
-				return violation("deadlock",
-					"no transition enabled in a non-terminal state (lost wakeup or stranded request)",
-					nil, nd.prefix), nil
+				plan.Violation = m.violation(f, m.traceOf(path))
+				return plan, nil
 			}
 			var explored []sleepEnt
 			for _, t := range enab {
@@ -171,31 +131,82 @@ func Split(cfg machine.Config, p *litmus.Program, opts Options, target int) (*Sp
 // CheckShard explores one Unit of program p under cfg: the prefix is
 // replayed from the root (deterministically, uncounted), then
 // source-DPOR runs below the cut. The zero Unit is a whole unsharded
-// exploration. Budget applies to this unit alone.
+// exploration. Budget applies to this unit alone. A Unit that is not
+// a shard of p — a malformed transition, a prefix step that is not
+// enabled, a sleeping step of a finished thread — is a *UnitError,
+// returned before anything is explored.
 func CheckShard(cfg machine.Config, p *litmus.Program, opts Options, u Unit) (*Result, error) {
-	if opts.DisablePOR || opts.Explorer == ExplorerSleepSet {
-		return nil, fmt.Errorf("mcheck: sharded exploration requires the DPOR explorer")
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	m, err := newModel(cfg, p)
+	m, oracle, err := prepare(cfg, p, opts)
 	if err != nil {
 		return nil, err
 	}
-	oracle, err := litmus.Oracle(p, cfg.Model, opts.OracleStateLimit)
-	if err != nil {
+	if err := m.checkUnit(u, oracle); err != nil {
 		return nil, err
 	}
-	budget := opts.Budget
-	if budget <= 0 {
-		budget = DefaultBudget
-	}
-	states, outcomes, viol, err := m.exploreDPOR(oracle, budget, u)
+	states, outcomes, viol, err := m.exploreDPOR(oracle, opts.budget(), u)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{States: states, Outcomes: outcomes, Violation: viol}, nil
+}
+
+// UnitError reports a Unit that is not a shard of the program it was
+// run against: a corrupted or stale wire unit, never a verdict.
+type UnitError struct {
+	Config  string
+	Program string
+	// Field is "prefix" or "sleep"; Index is the entry's position in it.
+	Field string
+	Index int
+	Trans uint32
+	// Reason says what is wrong with the entry.
+	Reason string
+}
+
+func (e *UnitError) Error() string {
+	return fmt.Sprintf("mcheck: shard %s[%d] = %#x of %q under %s: %s",
+		e.Field, e.Index, e.Trans, e.Program, e.Config, e.Reason)
+}
+
+// checkUnit rejects a Unit whose entries are not transitions of m's
+// program, then replays its prefix through the same node visit as
+// exploreDPOR: every prefix entry must be enabled where it fires, and
+// at the cut a sleeping thread step must still have an operation to
+// issue. Sleep entries need not be enabled — Split legitimately hands
+// down asleep background actions and blocked steps. Replay stops early
+// at a violating node, which exploration reports before the cut.
+func (m *model) checkUnit(u Unit, oracle map[string]litmus.Outcome) error {
+	bad := func(field string, i int, t uint32, reason string) error {
+		return &UnitError{Config: m.mcfg.Name(), Program: m.p.Name, Field: field, Index: i, Trans: t, Reason: reason}
+	}
+	for i, t := range u.Prefix {
+		if !m.wellFormed(trans(t)) {
+			return bad("prefix", i, t, "not a transition of the program")
+		}
+	}
+	for i, t := range u.Sleep {
+		if !m.wellFormed(trans(t)) {
+			return bad("sleep", i, t, "not a transition of the program")
+		}
+	}
+	s, seen := m.initial(), make(map[string]litmus.Outcome)
+	var enab []trans
+	for d, t := range u.Prefix {
+		var f fault
+		if enab, f = m.visit(s, oracle, seen, enab); f.invariant != "" {
+			return nil
+		}
+		if !slices.Contains(enab, trans(t)) {
+			return bad("prefix", d, t, fmt.Sprintf("not enabled at depth %d (stale shard?)", d))
+		}
+		m.apply(s, trans(t))
+	}
+	for i, t := range u.Sleep {
+		if kind, a, _, _ := trans(t).parts(); kind == tkStep && int(s.pcs[a]) >= len(m.p.Threads[a].Ops) {
+			return bad("sleep", i, t, "steps a thread with no operation left at the cut")
+		}
+	}
+	return nil
 }
 
 // MergeShardResults combines a split plan with its per-unit results in
@@ -240,9 +251,6 @@ func CheckSharded(cfg machine.Config, p *litmus.Program, opts Options, shards, w
 	plan, err := Split(cfg, p, opts, shards)
 	if err != nil {
 		return nil, err
-	}
-	if plan.Violation != nil || len(plan.Units) == 0 {
-		return &Result{States: plan.States, Outcomes: plan.Outcomes, Violation: plan.Violation}, nil
 	}
 	results := make([]*Result, len(plan.Units))
 	if _, err := runner.Run(len(plan.Units), runner.Options{Workers: workers}, func(i int) error {

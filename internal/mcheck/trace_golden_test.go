@@ -21,32 +21,31 @@ const faultTracesGolden = "fault_traces.golden"
 // reports with the acquire-invalidation fault injected: over the
 // catalog × Configs(), the verdict of each cell and, for each
 // violation, its invariant, detail, observed outcome and full
-// transition trace, under the DPOR explorer, the sleep-set explorer
-// and a 64-unit split (the split phase's own violation, else the
+// transition trace, under the DPOR explorer, the sleep-set
+// conformance oracle and a 64-unit split (the split phase's own violation, else the
 // lowest-indexed unit's, exactly as CheckSharded merges them).
 // Trace labels are rendered off the hot path, so this golden is what
-// keeps them byte-identical. The heavy DeNovo cells are skipped, as in
-// TestDPORConformance: DPOR cannot complete them at a test budget.
+// keeps them byte-identical. The heavy DeNovo cells are skipped
+// (heavyCell): DPOR cannot complete them at a test budget.
 //
 // Regenerate after an intentional model change with:
 //
 //	go test ./internal/mcheck -run TestFaultTracesGolden -update
 func TestFaultTracesGolden(t *testing.T) {
-	heavy := map[string]bool{"IRIW+sync": true, "IRIW+scoped": true, "ISA2+transitive": true}
 	var b bytes.Buffer
 	for _, cfg := range Configs() {
 		cfg.FaultDisableAcquireInval = true
 		for _, e := range litmus.Catalog() {
 			p := e.Program
-			if heavy[p.Name] && cfg.Protocol == machine.ProtoDeNovo {
+			if heavyCell(cfg, p) {
 				continue
 			}
-			for _, ex := range []Explorer{ExplorerDPOR, ExplorerSleepSet} {
-				r, err := Check(cfg, p, Options{Explorer: ex})
+			for _, ex := range explorers {
+				r, err := ex.check(cfg, p, Options{})
 				if err != nil {
-					t.Fatalf("%s %s %s: %v", ex, cfg.Name(), p.Name, err)
+					t.Fatalf("%s %s %s: %v", ex.name, cfg.Name(), p.Name, err)
 				}
-				writeVerdict(&b, ex.String(), cfg, p, r.Violation)
+				writeVerdict(&b, ex.name, cfg, p, r.Violation)
 			}
 			v, err := splitViolation(cfg, p, 64)
 			if err != nil {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -138,6 +140,62 @@ func TestSubmitCheckValidation(t *testing.T) {
 	} {
 		if _, err := client.Submit(ctx, denovogpu.MatrixSpec{Cells: []denovogpu.CellSpec{cell}}); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestSubmitCheckRejectsExplorer: a check cell still carrying the
+// retired "explorer" field is refused with a 400 by the strict
+// decoder, while the same cell without it is accepted.
+func TestSubmitCheckRejectsExplorer(t *testing.T) {
+	_, srv, _ := newTestServer(t, Options{})
+	for body, want := range map[string]int{
+		`{"cells":[{"check":{"config":{"name":"DD"},"program":"MP","explorer":"dpor"}}]}`: http.StatusBadRequest,
+		`{"cells":[{"check":{"config":{"name":"DD"},"program":"MP"}}]}`:                   http.StatusCreated,
+	} {
+		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("%s: status %d, want %d", body, resp.StatusCode, want)
+		}
+	}
+}
+
+// TestMalformedShardFailsCell: a check unit whose sleep entry names a
+// thread the program does not have fails its cell with the checker's
+// typed error; the worker survives and runs the next job.
+func TestMalformedShardFailsCell(t *testing.T) {
+	_, srv, client := newTestServer(t, Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &Worker{Server: srv.URL, Name: "w1", IdlePoll: 5 * time.Millisecond}
+	go func() { _ = w.Run(ctx) }()
+
+	for _, tc := range []struct {
+		shard *denovogpu.CheckShard
+		state string
+	}{
+		{&denovogpu.CheckShard{Sleep: []uint32{0x01C80000}}, "failed"},
+		{nil, "done"},
+	} {
+		cell := denovogpu.CellSpec{Check: &denovogpu.CheckCellSpec{
+			Config: denovogpu.ConfigSpec{Name: "DD"}, Program: "MP", Shard: tc.shard}}
+		sr, err := client.Submit(ctx, denovogpu.MatrixSpec{Cells: []denovogpu.CellSpec{cell}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, err := client.Wait(ctx, sr.Status.ID, 10*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status.State != tc.state {
+			t.Fatalf("shard %+v: job %+v, want state %s", tc.shard, status, tc.state)
+		}
+		if tc.state == "failed" && !strings.Contains(status.Error, "mcheck: shard sleep[0]") {
+			t.Fatalf("job error %q, want the checker's unit error", status.Error)
 		}
 	}
 }
