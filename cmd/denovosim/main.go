@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	direct := fs.Bool("directtransfer", false, "enable direct cache-to-cache transfers")
 	lazy := fs.Bool("lazywrites", false, "delay DeNovo data-write registration to global releases")
 	invariants := fs.Bool("invariants", false, "arm the protocol invariant sanitizer (hot-path assertions + post-kernel checks; reports stay byte-identical)")
-	msgTraceN := fs.Uint64("msgtrace", 0, "print the first N protocol messages to stderr")
+	msgTraceN := fs.Uint64("msgtrace", 0, "print the first N protocol messages to stderr (single-device machines only)")
 	tracePath := fs.String("trace", "", "write the event trace as Chrome trace_event JSON to this file")
 	traceCap := fs.Int("trace-cap", 0, "event-trace ring capacity in events (0 = default 1M; oldest dropped beyond it)")
 	metricsPath := fs.String("metrics", "", "write epoch-sampled metrics to this file (CSV, or JSON if it ends in .json)")
@@ -84,6 +84,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *devices > 0 {
 		cfg.Devices = *devices
+	}
+	if *msgTraceN > 0 && cfg.Devices > 1 {
+		// The message tap sits on one mesh: device 0's, with no view of
+		// the other devices or the link between them.
+		fmt.Fprintln(stderr, "denovosim: -msgtrace sees only device 0's mesh and no inter-device link traffic; use -trace on multi-device machines")
+		return 2
 	}
 	cfg.SyncBackoff = *backoff
 	cfg.DirectTransfer = *direct

@@ -124,6 +124,7 @@ func TestErrorPaths(t *testing.T) {
 		{"bad flag", []string{"-nope"}, "flag provided but not defined"},
 		{"unknown bench", []string{"-bench", "NOPE"}, "NOPE"},
 		{"unknown config", []string{"-bench", "LAVA", "-config", "ZZ"}, "unknown configuration"},
+		{"msgtrace multi-device", []string{"-bench", "SPM_Gx2", "-devices", "2", "-msgtrace", "3"}, "use -trace on multi-device"},
 	}
 	for _, c := range cases {
 		c := c

@@ -118,7 +118,14 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "sweepd: listen: %v\n", err)
 		return cli.ExitFailure
 	}
-	srv := &http.Server{Handler: coord.Handler()}
+	// No WriteTimeout: /events is a long-lived NDJSON stream that
+	// follows a job until it ends, however long that takes. Request
+	// bodies are bounded by the handlers themselves.
+	srv := &http.Server{
+		Handler:           coord.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	fmt.Fprintf(stdout, "sweepd: serving on %s (version %s, cache %q)\n", ln.Addr(), coord.Version(), *cacheDir)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

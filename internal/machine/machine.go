@@ -108,13 +108,6 @@ type Config struct {
 	// drain (store-buffer quiesce, registry walk, flash invalidation).
 	PhaseDrainCycles int
 
-	// GenericL1 forces the CUs onto the generic coherence.L1 interface
-	// dispatch — the reference implementation — instead of the default
-	// monomorphic fast path that calls the concrete DeNovo/GPU
-	// controllers directly. The two paths are behaviorally identical;
-	// the differential suite diffs their reports cell by cell.
-	GenericL1 bool
-
 	NumCUs         int
 	MaxResidentTBs int
 	L1Bytes        int
@@ -437,9 +430,6 @@ func New(cfg Config) *Machine {
 	for i := 0; i < m.totalCUs(); i++ {
 		cu := gpu.New(m.cuNode(i), m.eng, m.l1s[i], cfg.Model, m.devSt[i/cfg.NumCUs], m.meter, cfg.MaxResidentTBs)
 		cu.Index = i
-		if cfg.GenericL1 {
-			cu.UseGenericL1()
-		}
 		m.cus = append(m.cus, cu)
 	}
 	return m

@@ -61,12 +61,44 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// Request body limits. Worker bodies are bounded by the largest
+// completion: a canonical simulation report is at most 2.2 KB (the
+// 2-device goldens) and 3 KB once base64-encoded, and a check report
+// is a few KB of outcome keys and counterexample trace (every
+// fault-injected counterexample in mcheck's golden file together is
+// 19 KB), so 1 MiB leaves two orders of magnitude of headroom. A
+// submission grows with its cell list instead: the whole model-checking
+// catalog split at -shards 64 is 1.3 MB and at -shards 256 is 4.4 MB.
+const (
+	maxWorkerBody = 1 << 20
+	maxSubmitBody = 16 << 20
+)
+
+// decodeJSON decodes at most limit bytes of r's body into v. On failure
+// it writes the error response and returns false: 413 when the body is
+// over the limit, 400 when it is not the expected JSON (strict also
+// rejects unknown fields).
+func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, strict bool, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	if strict {
+		dec.DisallowUnknownFields()
+	}
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%s body exceeds %d bytes", what, tooLarge.Limit))
+	} else {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing %s: %w", what, err))
+	}
+	return false
+}
+
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec denovogpu.MatrixSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing matrix spec: %w", err))
+	if !decodeJSON(w, r, maxSubmitBody, true, "matrix spec", &spec) {
 		return
 	}
 	status, deduped, err := c.Submit(spec)
@@ -154,8 +186,7 @@ type leaseRequest struct {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing lease request: %w", err))
+	if !decodeJSON(w, r, maxWorkerBody, false, "lease request", &req) {
 		return
 	}
 	if req.Worker == "" {
@@ -171,8 +202,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing completion: %w", err))
+	if !decodeJSON(w, r, maxWorkerBody, false, "completion", &req) {
 		return
 	}
 	if err := c.Complete(req); err != nil {
@@ -192,8 +222,7 @@ type heartbeatRequest struct {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req heartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing heartbeat: %w", err))
+	if !decodeJSON(w, r, maxWorkerBody, false, "heartbeat", &req) {
 		return
 	}
 	if !c.Heartbeat(req.Lease) {

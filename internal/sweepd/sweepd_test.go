@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -525,5 +526,53 @@ func TestClientRunMatrix(t *testing.T) {
 	obs := []denovogpu.MatrixCell{{Config: denovogpu.GD(), Workload: lava, Sampler: &denovogpu.Sampler{}}}
 	if _, err := client.RunMatrix(ctx, obs, denovogpu.MatrixOptions{}); err == nil {
 		t.Error("observer cell accepted for remote execution")
+	}
+}
+
+// spaces is an endless stream of JSON whitespace: a body the decoder
+// keeps reading without ever finding a syntax error.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestOversizedBodies pins every JSON endpoint's body limit: one byte
+// over it is refused with 413 (not parsed into memory), while malformed
+// JSON under it keeps the 400.
+func TestOversizedBodies(t *testing.T) {
+	_, srv, _ := newTestServer(t, Options{})
+	for _, ep := range []struct {
+		path  string
+		limit int64
+	}{
+		{"/api/v1/jobs", maxSubmitBody},
+		{"/api/v1/lease", maxWorkerBody},
+		{"/api/v1/complete", maxWorkerBody},
+		{"/api/v1/heartbeat", maxWorkerBody},
+	} {
+		t.Run(strings.TrimPrefix(ep.path, "/api/v1/"), func(t *testing.T) {
+			body := io.MultiReader(strings.NewReader("{"), io.LimitReader(spaces{}, ep.limit))
+			resp, err := http.Post(srv.URL+ep.path, "application/json", body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), "exceeds") {
+				t.Errorf("oversized body: status %d (%s), want 413", resp.StatusCode, msg)
+			}
+			resp, err = http.Post(srv.URL+ep.path, "application/json", strings.NewReader("{nope"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("malformed body: status %d, want 400", resp.StatusCode)
+			}
+		})
 	}
 }

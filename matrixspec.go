@@ -216,10 +216,10 @@ func CodeVersion() string {
 // spell the same machine differently (JSON field order, explicit
 // default values vs omitted fields) share a key, and any field that
 // changes simulated behavior changes it. Everything in Config is part
-// of the key, including fields proven behavior-neutral (Invariants,
-// GenericL1): a spurious miss only costs a re-simulation, a spurious
-// hit would be wrong. The domain string is versioned ("/v2" since the
-// Devices field landed) so warm caches written by older binaries can
+// of the key, including fields proven behavior-neutral (Invariants):
+// a spurious miss only costs a re-simulation, a spurious hit would be
+// wrong. The domain string is versioned ("/v3" since the Config lost
+// its L1-dispatch switch) so warm caches written by older binaries can
 // never satisfy a lookup from a build with a different Config schema.
 func CellKey(codeVersion string, s CellSpec) (string, error) {
 	cfg, err := s.Config.Resolve()
@@ -232,7 +232,7 @@ func CellKey(codeVersion string, s CellSpec) (string, error) {
 	}
 	h := sha256.New()
 	for _, part := range []string{
-		"denovogpu-cell/v2", codeVersion, string(cfgJSON), s.Workload, fmt.Sprintf("%d", s.Seed),
+		"denovogpu-cell/v3", codeVersion, string(cfgJSON), s.Workload, fmt.Sprintf("%d", s.Seed),
 	} {
 		fmt.Fprintf(h, "%d:%s", len(part), part)
 	}
