@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"denovogpu"
+	"denovogpu/internal/cache"
 	"denovogpu/internal/machine"
 	"denovogpu/internal/obs"
 	"denovogpu/internal/stats"
@@ -74,6 +75,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg, err := denovogpu.ConfigByName(*config)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	if *sbEntries > cache.MaxStoreBufferEntries {
+		fmt.Fprintf(stderr, "denovosim: -sbentries %d exceeds the store buffer limit of %d\n", *sbEntries, cache.MaxStoreBufferEntries)
 		return 2
 	}
 	if *sbEntries > 0 {

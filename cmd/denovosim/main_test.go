@@ -125,6 +125,7 @@ func TestErrorPaths(t *testing.T) {
 		{"unknown bench", []string{"-bench", "NOPE"}, "NOPE"},
 		{"unknown config", []string{"-bench", "LAVA", "-config", "ZZ"}, "unknown configuration"},
 		{"msgtrace multi-device", []string{"-bench", "SPM_Gx2", "-devices", "2", "-msgtrace", "3"}, "use -trace on multi-device"},
+		{"store buffer too large", []string{"-bench", "LAVA", "-sbentries", "65537"}, "exceeds the store buffer limit of 65536"},
 	}
 	for _, c := range cases {
 		c := c

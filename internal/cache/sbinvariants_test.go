@@ -50,21 +50,25 @@ func TestStoreBufferCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 
 	slot := func(b *StoreBuffer, w mem.Word) int32 {
-		i, ok := b.index.Get(uint64(w))
-		if !ok {
+		r, ok := b.index.Get(uint64(w.LineOf()))
+		if !ok || !r.mask.Has(w.Index()) {
 			t.Fatalf("word %v not indexed", w)
 		}
-		return i
+		return int32(r.slot[w.Index()])
+	}
+	record := func(b *StoreBuffer, w mem.Word) *sbLine {
+		r, _ := b.index.Ptr(uint64(w.LineOf()))
+		return r
 	}
 
 	b := fresh()
-	b.index.Put(uint64(w0), slot(b, w1))
+	record(b, w0).slot[w0.Index()] = uint16(slot(b, w1))
 	if err := b.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "index points to") {
 		t.Fatalf("cross-linked index: got %v", err)
 	}
 
 	b = fresh()
-	b.index.Delete(uint64(w1))
+	b.index.Delete(uint64(w1.LineOf()))
 	if err := b.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "does not know") {
 		t.Fatalf("missing index entry: got %v", err)
 	}
@@ -85,5 +89,22 @@ func TestStoreBufferCheckInvariantsDetectsCorruption(t *testing.T) {
 	b.free = append(b.free, slot(b, w0))
 	if err := b.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "pool leak") {
 		t.Fatalf("slot both live and free: got %v", err)
+	}
+
+	// A mask bit for a word that was never buffered, whose slot names
+	// another word's live slot: the list walk alone cannot see it.
+	b = fresh()
+	stray := w0.LineOf().Word(w0.Index() + 1)
+	r := record(b, w0)
+	r.mask |= mem.Bit(stray.Index())
+	r.slot[stray.Index()] = uint16(slot(b, w0))
+	if err := b.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "index maps "+stray.String()) {
+		t.Fatalf("mask bit pointing at another word: got %v", err)
+	}
+
+	b = fresh()
+	b.index.Upsert(uint64(mem.Line(9)))
+	if err := b.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "empty record") {
+		t.Fatalf("leaked empty line record: got %v", err)
 	}
 }

@@ -17,11 +17,22 @@ type SBEntry struct {
 // nilSlot terminates the intrusive slot list.
 const nilSlot = int32(-1)
 
+// MaxStoreBufferEntries is the largest capacity NewStoreBuffer
+// accepts: the line index names pool slots with 16-bit numbers.
+const MaxStoreBufferEntries = 1 << 16
+
 // sbSlot is one pooled buffer slot, linked in insertion order.
 type sbSlot struct {
 	word       mem.Word
 	val        uint32
 	prev, next int32
+}
+
+// sbLine is the line index's record of one buffered line: which of its
+// words are buffered and the pool slot holding each of them.
+type sbLine struct {
+	mask mem.WordMask
+	slot [mem.WordsPerLine]uint16
 }
 
 // StoreBuffer is the 256-entry coalescing store buffer that sits next
@@ -39,9 +50,15 @@ type sbSlot struct {
 // dead entries behind on Remove, making iteration O(total insert
 // history); on registration-heavy workloads that was the simulator's
 // single largest cost.
+//
+// The index is keyed by line, like the hardware's line-granular
+// coalescing: one hash probe answers for every word of a line
+// (LineLookup), and a lookup, insert or remove of one word costs one
+// probe plus mask arithmetic.
 type StoreBuffer struct {
 	cap        int
-	index      wordmap.Map[int32] // word -> pool slot of its live entry
+	n          int                 // live slots
+	index      wordmap.Map[sbLine] // line -> its buffered words' slots
 	pool       []sbSlot
 	free       []int32 // recycled pool slots
 	head, tail int32   // live entries, insertion order
@@ -52,8 +69,12 @@ type StoreBuffer struct {
 	track int32
 }
 
-// NewStoreBuffer returns a buffer with the given capacity in word slots.
+// NewStoreBuffer returns a buffer with the given capacity in word
+// slots, which must lie in [1, MaxStoreBufferEntries].
 func NewStoreBuffer(capacity int) *StoreBuffer {
+	if capacity < 1 || capacity > MaxStoreBufferEntries {
+		panic(fmt.Sprintf("cache: store buffer capacity %d outside [1, %d]", capacity, MaxStoreBufferEntries))
+	}
 	return &StoreBuffer{
 		cap:  capacity,
 		pool: make([]sbSlot, 0, capacity),
@@ -73,18 +94,34 @@ func (b *StoreBuffer) SetRecorder(rec *obs.Recorder, track int32) {
 func (b *StoreBuffer) Cap() int { return b.cap }
 
 // Len returns the number of live slots.
-func (b *StoreBuffer) Len() int { return b.index.Len() }
+func (b *StoreBuffer) Len() int { return b.n }
 
 // Full reports whether the buffer has no free slots.
-func (b *StoreBuffer) Full() bool { return b.index.Len() >= b.cap }
+func (b *StoreBuffer) Full() bool { return b.n >= b.cap }
 
 // Lookup returns the buffered value for w, for store-to-load forwarding.
 func (b *StoreBuffer) Lookup(w mem.Word) (uint32, bool) {
-	i, ok := b.index.Get(uint64(w))
-	if !ok {
+	r, ok := b.index.Ptr(uint64(w.LineOf()))
+	if !ok || !r.mask.Has(w.Index()) {
 		return 0, false
 	}
-	return b.pool[i].val, true
+	return b.pool[r.slot[w.Index()]].val, true
+}
+
+// LineLookup copies the buffered value of every buffered word of line
+// l into the matching element of vals and returns their mask; other
+// elements of vals are left alone.
+func (b *StoreBuffer) LineLookup(l mem.Line, vals *[mem.WordsPerLine]uint32) mem.WordMask {
+	r, ok := b.index.Ptr(uint64(l))
+	if !ok {
+		return 0
+	}
+	for i := 0; i < mem.WordsPerLine; i++ {
+		if r.mask.Has(i) {
+			vals[i] = b.pool[r.slot[i]].val
+		}
+	}
+	return r.mask
 }
 
 func (b *StoreBuffer) alloc() int32 {
@@ -131,20 +168,33 @@ func (b *StoreBuffer) unlink(i int32) {
 // overflow destroys is the ability of *future* writes to the evicted
 // words to coalesce (the paper's LavaMD effect).
 func (b *StoreBuffer) Insert(w mem.Word, v uint32) (coalesced bool, evicted *LineGroup) {
-	if i, ok := b.index.Get(uint64(w)); ok {
-		b.pool[i].val = v
+	l, wi := w.LineOf(), w.Index()
+	var r *sbLine
+	if b.Full() {
+		// The eviction deletes an index record, which invalidates
+		// record pointers: probe without inserting, evict, then insert.
+		if p, ok := b.index.Ptr(uint64(l)); ok && p.mask.Has(wi) {
+			r = p
+		} else {
+			evicted = b.popOldestLine()
+			r = b.index.Upsert(uint64(l))
+		}
+	} else {
+		r = b.index.Upsert(uint64(l))
+	}
+	if r.mask.Has(wi) {
+		b.pool[r.slot[wi]].val = v
 		if b.rec != nil {
 			b.rec.Emit(obs.SBCoalesce, b.track, uint64(w))
 		}
 		return true, nil
 	}
-	if b.Full() {
-		evicted = b.popOldestLine()
-	}
 	i := b.alloc()
 	b.pool[i] = sbSlot{word: w, val: v}
 	b.linkTail(i)
-	b.index.Put(uint64(w), i)
+	r.mask |= mem.Bit(wi)
+	r.slot[wi] = uint16(i)
+	b.n++
 	if b.rec != nil {
 		b.rec.Emit(obs.SBInsert, b.track, uint64(w))
 	}
@@ -158,19 +208,19 @@ func (b *StoreBuffer) popOldestLine() *LineGroup {
 		panic("cache: popOldestLine on empty store buffer")
 	}
 	g := &LineGroup{Line: b.pool[b.head].word.LineOf()}
-	words := uint64(0)
+	r, _ := b.index.Get(uint64(g.Line))
+	g.Mask = r.mask
 	for i := 0; i < mem.WordsPerLine; i++ {
-		word := g.Line.Word(i)
-		if si, ok := b.index.Get(uint64(word)); ok {
-			g.Mask |= mem.Bit(i)
-			g.Data[i] = b.pool[si].val
-			b.index.Delete(uint64(word))
-			b.unlink(si)
-			words++
+		if r.mask.Has(i) {
+			g.Data[i] = b.pool[r.slot[i]].val
+			b.unlink(int32(r.slot[i]))
 		}
 	}
+	b.index.Delete(uint64(g.Line))
+	words := r.mask.Count()
+	b.n -= words
 	if b.rec != nil {
-		b.rec.Emit(obs.SBEvict, b.track, words)
+		b.rec.Emit(obs.SBEvict, b.track, uint64(words))
 	}
 	return g
 }
@@ -178,13 +228,17 @@ func (b *StoreBuffer) popOldestLine() *LineGroup {
 // Remove deletes the slot for w (e.g. when its registration completes)
 // and returns its value.
 func (b *StoreBuffer) Remove(w mem.Word) (uint32, bool) {
-	i, ok := b.index.Get(uint64(w))
-	if !ok {
+	r, ok := b.index.Ptr(uint64(w.LineOf()))
+	if !ok || !r.mask.Has(w.Index()) {
 		return 0, false
 	}
+	i := int32(r.slot[w.Index()])
 	v := b.pool[i].val
-	b.index.Delete(uint64(w))
 	b.unlink(i)
+	b.n--
+	if r.mask &^= mem.Bit(w.Index()); r.mask == 0 {
+		b.index.Delete(uint64(w.LineOf()))
+	}
 	if b.rec != nil {
 		b.rec.Emit(obs.SBDrain, b.track, 1)
 	}
@@ -213,17 +267,18 @@ func (b *StoreBuffer) AppendEntries(dst []SBEntry) []SBEntry {
 // Entries returns all live slots in insertion order without removing
 // them.
 func (b *StoreBuffer) Entries() []SBEntry {
-	return b.AppendEntries(make([]SBEntry, 0, b.index.Len()))
+	return b.AppendEntries(make([]SBEntry, 0, b.n))
 }
 
 // AppendDrain empties the buffer, appending all slots in insertion
 // order to dst (the allocation-free variant of DrainAll).
 func (b *StoreBuffer) AppendDrain(dst []SBEntry) []SBEntry {
 	dst = b.AppendEntries(dst)
-	if b.rec != nil && b.index.Len() > 0 {
-		b.rec.Emit(obs.SBDrain, b.track, uint64(b.index.Len()))
+	if b.rec != nil && b.n > 0 {
+		b.rec.Emit(obs.SBDrain, b.track, uint64(b.n))
 	}
 	b.index.Reset()
+	b.n = 0
 	b.pool = b.pool[:0]
 	b.free = b.free[:0]
 	b.head, b.tail = nilSlot, nilSlot
@@ -232,17 +287,17 @@ func (b *StoreBuffer) AppendDrain(dst []SBEntry) []SBEntry {
 
 // DrainAll empties the buffer, returning all slots in insertion order.
 func (b *StoreBuffer) DrainAll() []SBEntry {
-	return b.AppendDrain(make([]SBEntry, 0, b.index.Len()))
+	return b.AppendDrain(make([]SBEntry, 0, b.n))
 }
 
 // CheckInvariants validates the buffer's internal structure (the
 // model checker's sb-fifo invariant, structurally): the intrusive
-// list and the word index must describe the same live slots — every
-// linked slot indexed back to itself, back-pointers symmetric, no
-// word appearing twice — and every pool slot must be either live or
-// on the free list. Protocol sanitizers (machine.Config.Invariants)
-// call it at quiesce points; it walks the whole buffer and is not for
-// hot paths.
+// list and the line index must describe the same live slots — every
+// linked slot indexed back to itself, back-pointers symmetric, every
+// index bit naming a slot that holds its word, the live count in step
+// — and every pool slot must be either live or on the free list.
+// Protocol sanitizers (machine.Config.Invariants) call it at quiesce
+// points; it walks the whole buffer and is not for hot paths.
 func (b *StoreBuffer) CheckInvariants() error {
 	live := 0
 	prev := nilSlot
@@ -251,24 +306,44 @@ func (b *StoreBuffer) CheckInvariants() error {
 		if s.prev != prev {
 			return fmt.Errorf("cache: store buffer slot %d has prev %d, want %d", i, s.prev, prev)
 		}
-		j, ok := b.index.Get(uint64(s.word))
-		if !ok {
+		r, ok := b.index.Get(uint64(s.word.LineOf()))
+		if !ok || !r.mask.Has(s.word.Index()) {
 			return fmt.Errorf("cache: store buffer slot %d holds %v, which the index does not know", i, s.word)
 		}
-		if j != i {
+		if j := int32(r.slot[s.word.Index()]); j != i {
 			return fmt.Errorf("cache: store buffer holds %v at slot %d but the index points to slot %d (duplicate word or stale index)", s.word, i, j)
 		}
 		live++
-		if live > b.index.Len() {
-			return fmt.Errorf("cache: store buffer list is longer than its %d-entry index (cycle or leaked slot)", b.index.Len())
+		if live > b.n {
+			return fmt.Errorf("cache: store buffer list is longer than its %d-entry count (cycle or leaked slot)", b.n)
 		}
 		prev = i
 	}
 	if b.tail != prev {
 		return fmt.Errorf("cache: store buffer tail is slot %d, but the list ends at slot %d", b.tail, prev)
 	}
-	if live != b.index.Len() {
-		return fmt.Errorf("cache: store buffer list has %d slots but the index has %d entries", live, b.index.Len())
+	var err error
+	indexed := 0
+	b.index.ForEach(func(k uint64, r sbLine) {
+		l := mem.Line(k)
+		for i := 0; i < mem.WordsPerLine && err == nil; i++ {
+			if !r.mask.Has(i) {
+				continue
+			}
+			indexed++
+			if j := int(r.slot[i]); j >= len(b.pool) || b.pool[j].word != l.Word(i) {
+				err = fmt.Errorf("cache: store buffer index maps %v to slot %d, which does not hold it", l.Word(i), j)
+			}
+		}
+		if err == nil && r.mask == 0 {
+			err = fmt.Errorf("cache: store buffer index keeps an empty record for %v", l)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	if live != b.n || indexed != b.n {
+		return fmt.Errorf("cache: store buffer list has %d slots and the index %d words, but the count is %d", live, indexed, b.n)
 	}
 	if live+len(b.free) != len(b.pool) {
 		return fmt.Errorf("cache: store buffer pool leak: %d live + %d free != %d pooled", live, len(b.free), len(b.pool))

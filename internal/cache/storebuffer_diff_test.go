@@ -35,6 +35,17 @@ func (r *refStoreBuffer) Lookup(w mem.Word) (uint32, bool) {
 	return 0, false
 }
 
+func (r *refStoreBuffer) LineLookup(l mem.Line, vals *[mem.WordsPerLine]uint32) mem.WordMask {
+	var mask mem.WordMask
+	for _, e := range r.entries {
+		if e.Word.LineOf() == l {
+			mask |= mem.Bit(e.Word.Index())
+			vals[e.Word.Index()] = e.Val
+		}
+	}
+	return mask
+}
+
 func (r *refStoreBuffer) Insert(w mem.Word, v uint32) (coalesced bool, evicted *LineGroup) {
 	if i := r.find(w); i >= 0 {
 		r.entries[i].Val = v
@@ -91,9 +102,11 @@ func (r *refStoreBuffer) DrainAll() []SBEntry {
 
 // TestStoreBufferMatchesReference drives the pooled implementation and
 // the reference model through long random operation sequences and
-// requires every observable output to agree. Small capacities and a
-// narrow word range force constant coalescing, overflow eviction, and
-// remove-then-reinsert traffic.
+// requires every observable output to agree, including each evicted
+// line group and, after every operation, LineLookup of every line in
+// the word space. Small capacities and a narrow word range force
+// constant coalescing, overflow eviction, and remove-then-reinsert
+// traffic.
 func TestStoreBufferMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260805))
 	for trial := 0; trial < 50; trial++ {
@@ -142,6 +155,13 @@ func TestStoreBufferMatchesReference(t *testing.T) {
 			}
 			if got, want := b.Entries(), ref.Entries(); !sbEntriesEqual(got, want) {
 				t.Fatalf("trial %d op %d: Entries()=%v want %v", trial, op, got, want)
+			}
+			for l := mem.Line(0); l <= mem.Word(words-1).LineOf(); l++ {
+				var gv, wv [mem.WordsPerLine]uint32
+				gm, wm := b.LineLookup(l, &gv), ref.LineLookup(l, &wv)
+				if gm != wm || gv != wv {
+					t.Fatalf("trial %d op %d: LineLookup(%v)=(%#x,%v) want (%#x,%v)", trial, op, l, gm, gv, wm, wv)
+				}
 			}
 		}
 	}

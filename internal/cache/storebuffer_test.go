@@ -226,3 +226,64 @@ func TestVictimBuffer(t *testing.T) {
 		t.Fatal("len after drop should be 0")
 	}
 }
+
+func TestNewStoreBufferRejectsUnaddressableCapacity(t *testing.T) {
+	for _, capacity := range []int{0, MaxStoreBufferEntries + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewStoreBuffer(%d) did not panic", capacity)
+				}
+			}()
+			NewStoreBuffer(capacity)
+		}()
+	}
+	// The largest capacity is addressable: fill it and drain one line
+	// through the highest slot numbers.
+	b := NewStoreBuffer(MaxStoreBufferEntries)
+	for i := 0; i < MaxStoreBufferEntries; i++ {
+		b.Insert(mem.Word(i), uint32(i))
+	}
+	_, ev := b.Insert(mem.Word(MaxStoreBufferEntries), 0)
+	if ev == nil || ev.Line != 0 || ev.Mask != mem.AllWords || ev.Data[15] != 15 {
+		t.Fatalf("overflow of a full %d-entry buffer evicted %+v", MaxStoreBufferEntries, ev)
+	}
+	last := mem.Word(MaxStoreBufferEntries - 1)
+	if v, ok := b.Lookup(last); !ok || v != uint32(last) {
+		t.Fatalf("Lookup(%v) = %d, %v", last, v, ok)
+	}
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkStoreBuffer measures one line's round trip through a
+// half-full buffer: four word inserts, a LineLookup, and four removes
+// (the registration-completion path).
+func BenchmarkStoreBuffer(b *testing.B) {
+	sb := NewStoreBuffer(256)
+	for i := 0; i < 128; i++ {
+		sb.Insert(mem.Line(1000+i).Word(i%mem.WordsPerLine), uint32(i))
+	}
+	var vals [mem.WordsPerLine]uint32
+	const want = 1<<0 | 1<<4 | 1<<8 | 1<<12
+	roundTrip := func(l mem.Line, v uint32) {
+		for w := 0; w < mem.WordsPerLine; w += 4 {
+			sb.Insert(l.Word(w), v)
+		}
+		if sb.LineLookup(l, &vals) != want {
+			b.Fatal("LineLookup missed buffered words")
+		}
+		for w := 0; w < mem.WordsPerLine; w += 4 {
+			sb.Remove(l.Word(w))
+		}
+	}
+	for i := 0; i < 64; i++ { // grow the index and free list once
+		roundTrip(mem.Line(i), 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip(mem.Line(i%64), uint32(i))
+	}
+}

@@ -168,7 +168,9 @@ type Controller struct {
 	// registration was still in flight: the registry has already made
 	// this node the owner, but the word's value has not arrived yet.
 	deferredReads wordmap.Map[[]*coherence.Msg]
-	pendingOwn    wordmap.Map[uint32] // owned words awaiting a cache frame
+	// pendingOwn holds, per line, the owned words awaiting a cache
+	// frame.
+	pendingOwn wordmap.Map[ownLine]
 
 	reads   wordmap.Map[*readTxn]
 	lineTxn wordmap.Map[uint64]
@@ -214,6 +216,13 @@ type Controller struct {
 
 	// rec, when non-nil, receives L1/sync events on track c.node.
 	rec *obs.Recorder
+}
+
+// ownLine is one line's owned words awaiting a cache frame (mask) and
+// their values.
+type ownLine struct {
+	mask mem.WordMask
+	val  [mem.WordsPerLine]uint32
 }
 
 // lineMask accumulates one line's per-word mask while batching lazy
@@ -464,19 +473,21 @@ func (c *Controller) evict(e *cache.Entry) {
 // ReadLine implements coherence.L1.
 func (c *Controller) ReadLine(l mem.Line, need mem.WordMask, cb func([mem.WordsPerLine]uint32)) {
 	c.meter.L1Access(1)
-	var vals [mem.WordsPerLine]uint32
+	var vals, sbVals [mem.WordsPerLine]uint32
 	missing := mem.WordMask(0)
 	entry := c.cache.Lookup(l)
+	sbMask := c.sb.LineLookup(l, &sbVals)
+	own, _ := c.pendingOwn.Ptr(uint64(l))
 	for i := 0; i < mem.WordsPerLine; i++ {
 		if !need.Has(i) {
 			continue
 		}
-		if v, ok := c.sb.Lookup(l.Word(i)); ok {
-			vals[i] = v
+		if sbMask.Has(i) {
+			vals[i] = sbVals[i]
 			continue
 		}
-		if v, ok := c.pendingOwn.Get(uint64(l.Word(i))); ok {
-			vals[i] = v
+		if own != nil && own.mask.Has(i) {
+			vals[i] = own.val[i]
 			continue
 		}
 		if entry != nil && entry.State[i] != cache.Invalid {
@@ -561,6 +572,12 @@ func (c *Controller) WriteLine(l mem.Line, mask mem.WordMask, data [mem.WordsPer
 // in a single closure.
 func (c *Controller) writeRun(l mem.Line, mask mem.WordMask, data [mem.WordsPerLine]uint32, from int, cb func()) {
 	entry := c.cache.Peek(l)
+	// Nothing below inserts into or deletes from pendingOwn, and the
+	// only store-buffer inserts are of word i itself, so one probe of
+	// each table serves the whole line.
+	own, _ := c.pendingOwn.Ptr(uint64(l))
+	var sbVals [mem.WordsPerLine]uint32
+	sbMask := c.sb.LineLookup(l, &sbVals)
 	var newReg mem.WordMask
 	for i := from; i < mem.WordsPerLine; i++ {
 		if !mask.Has(i) {
@@ -575,15 +592,15 @@ func (c *Controller) writeRun(l mem.Line, mask mem.WordMask, data [mem.WordsPerL
 			}
 			continue
 		}
-		if p, ok := c.pendingOwn.Ptr(uint64(w)); ok {
-			*p = data[i]
+		if own != nil && own.mask.Has(i) {
+			own.val[i] = data[i]
 			c.st.IncKey(kL1WriteHits, 1)
 			if c.rec != nil {
 				c.rec.Emit(obs.L1WriteHit, int32(c.node), uint64(w))
 			}
 			continue
 		}
-		if _, ok := c.sb.Lookup(w); ok {
+		if sbMask.Has(i) {
 			c.sb.Insert(w, data[i])
 			c.st.IncKey(kSbCoalescedWrites, 1)
 			continue
@@ -693,9 +710,9 @@ func (c *Controller) Atomic(op coherence.AtomicOp, w mem.Word, operand, operand2
 		c.serviceDeferred(w)
 		return
 	}
-	if p, ok := c.pendingOwn.Ptr(uint64(w)); ok && !c.regs.Has(uint64(w)) {
-		next, ret := op.Apply(*p, operand, operand2)
-		*p = next
+	if p, ok := c.pendingOwn.Ptr(uint64(l)); ok && p.mask.Has(w.Index()) && !c.regs.Has(uint64(w)) {
+		next, ret := op.Apply(p.val[w.Index()], operand, operand2)
+		p.val[w.Index()] = next
 		c.st.IncKey(kL1SyncHits, 1)
 		if c.rec != nil {
 			c.rec.Emit(obs.L1SyncHit, int32(c.node), uint64(w))
@@ -794,7 +811,7 @@ func (c *Controller) localAtomic(op coherence.AtomicOp, w mem.Word, operand, ope
 		finish(v)
 		return
 	}
-	if v, ok := c.pendingOwn.Get(uint64(w)); ok {
+	if v, ok := c.pendingOwned(w); ok {
 		finish(v)
 		return
 	}
@@ -1106,6 +1123,7 @@ func (c *Controller) fill(msg *coherence.Msg) {
 func (c *Controller) readFwd(msg *coherence.Msg) {
 	var data [mem.WordsPerLine]uint32
 	var now mem.WordMask
+	own, _ := c.pendingOwn.Ptr(uint64(msg.Line))
 	for i := 0; i < mem.WordsPerLine; i++ {
 		if !msg.Mask.Has(i) {
 			continue
@@ -1116,8 +1134,8 @@ func (c *Controller) readFwd(msg *coherence.Msg) {
 		// over from an earlier eviction of the same word.
 		if e := c.cache.Peek(msg.Line); e != nil && e.State[i] == cache.Registered {
 			data[i] = e.Data[i]
-		} else if v, ok := c.pendingOwn.Get(uint64(w)); ok {
-			data[i] = v
+		} else if own != nil && own.mask.Has(i) {
+			data[i] = own.val[i]
 		} else if v, ok := c.victim.Get(w); ok {
 			data[i] = v
 		} else if c.regs.Has(uint64(w)) {
@@ -1208,7 +1226,9 @@ func (c *Controller) ownershipArrived(l mem.Line, mask mem.WordMask, data [mem.W
 			e.State[i] = cache.Registered
 			c.cache.Touch(e)
 		} else {
-			c.pendingOwn.Put(uint64(w), val)
+			p := c.pendingOwn.Upsert(uint64(l))
+			p.mask |= mem.Bit(i)
+			p.val[i] = val
 			c.scheduleRetryInstall(2, w)
 		}
 		c.meter.L1Access(1)
@@ -1224,7 +1244,7 @@ func (c *Controller) ownershipArrived(l mem.Line, mask mem.WordMask, data [mem.W
 // retryInstall moves a frameless owned word into the cache once a frame
 // frees up.
 func (c *Controller) retryInstall(w mem.Word) {
-	val, ok := c.pendingOwn.Get(uint64(w))
+	val, ok := c.pendingOwned(w)
 	if !ok {
 		return // transferred away meanwhile
 	}
@@ -1233,11 +1253,32 @@ func (c *Controller) retryInstall(w mem.Word) {
 		c.eng.Schedule(2, func() { c.retryInstall(w) })
 		return
 	}
-	c.pendingOwn.Delete(uint64(w))
+	c.dropPendingOwn(w.LineOf(), mem.Bit(w.Index()))
 	e.Data[w.Index()] = val
 	e.State[w.Index()] = cache.Registered
 	c.cache.Touch(e)
 	c.serviceDeferred(w)
+}
+
+// pendingOwned returns the value of w if it is owned here while
+// awaiting a cache frame.
+func (c *Controller) pendingOwned(w mem.Word) (uint32, bool) {
+	p, ok := c.pendingOwn.Ptr(uint64(w.LineOf()))
+	if !ok || !p.mask.Has(w.Index()) {
+		return 0, false
+	}
+	return p.val[w.Index()], true
+}
+
+// dropPendingOwn removes the masked words of line l from pendingOwn.
+func (c *Controller) dropPendingOwn(l mem.Line, mask mem.WordMask) {
+	p, ok := c.pendingOwn.Ptr(uint64(l))
+	if !ok {
+		return
+	}
+	if p.mask &^= mask; p.mask == 0 {
+		c.pendingOwn.Delete(uint64(l))
+	}
 }
 
 // serveDeferredReads replays forwarded reads that were waiting for this
@@ -1304,7 +1345,9 @@ func (c *Controller) transfer(w mem.Word, to noc.NodeID, sync bool, id uint64) {
 // to the requester in a single RegXfer.
 func (c *Controller) transferMask(l mem.Line, mask mem.WordMask, to noc.NodeID, sync bool, id uint64) {
 	var data [mem.WordsPerLine]uint32
+	var fromOwn mem.WordMask
 	e := c.cache.Peek(l)
+	own, _ := c.pendingOwn.Ptr(uint64(l))
 	for i := 0; i < mem.WordsPerLine; i++ {
 		if !mask.Has(i) {
 			continue
@@ -1315,9 +1358,9 @@ func (c *Controller) transferMask(l mem.Line, mask mem.WordMask, to noc.NodeID, 
 		if e != nil && e.State[i] == cache.Registered {
 			data[i] = e.Data[i]
 			e.State[i] = cache.Invalid
-		} else if v, ok := c.pendingOwn.Get(uint64(w)); ok {
-			data[i] = v
-			c.pendingOwn.Delete(uint64(w))
+		} else if own != nil && own.mask.Has(i) {
+			data[i] = own.val[i]
+			fromOwn |= mem.Bit(i)
 		} else if v, ok := c.victim.Get(w); ok {
 			data[i] = v
 			vs, vok := c.vstate.Ptr(uint64(w))
@@ -1334,6 +1377,9 @@ func (c *Controller) transferMask(l mem.Line, mask mem.WordMask, to noc.NodeID, 
 		if c.opts.SyncBackoff {
 			c.lostAt.Put(uint64(w), c.eng.Now())
 		}
+	}
+	if fromOwn != 0 {
+		c.dropPendingOwn(l, fromOwn)
 	}
 	if e != nil && !e.HasAny(cache.Valid) && !e.HasAny(cache.Registered) && !e.Pinned {
 		e.Tag = false
@@ -1429,7 +1475,7 @@ func (c *Controller) writeBackAck(msg *coherence.Msg) {
 
 // CacheWordState exposes a word's L1 state.
 func (c *Controller) CacheWordState(w mem.Word) cache.WordState {
-	if c.pendingOwn.Has(uint64(w)) {
+	if _, ok := c.pendingOwned(w); ok {
 		return cache.Registered
 	}
 	if e := c.cache.Peek(w.LineOf()); e != nil {
@@ -1444,7 +1490,7 @@ func (c *Controller) PeekWord(w mem.Word) (uint32, bool) {
 	if v, ok := c.sb.Lookup(w); ok {
 		return v, true
 	}
-	if v, ok := c.pendingOwn.Get(uint64(w)); ok {
+	if v, ok := c.pendingOwned(w); ok {
 		return v, true
 	}
 	if e := c.cache.Peek(w.LineOf()); e != nil && e.State[w.Index()] != cache.Invalid {
@@ -1476,20 +1522,26 @@ func (c *Controller) DebugDump() string {
 // StoreBufferLen exposes store-buffer occupancy for tests.
 func (c *Controller) StoreBufferLen() int { return c.sb.Len() }
 
-// OwnsWord reports whether this L1 currently holds the word in
-// Registered state (or in flight structures) — the L1 side of the
-// registry's single-owner invariant.
-func (c *Controller) OwnsWord(w mem.Word) bool {
-	if e := c.cache.Peek(w.LineOf()); e != nil && e.State[w.Index()] == cache.Registered {
-		return true
+// OwnedMask returns the words of line l this L1 currently owns: held
+// Registered in its cache, owned while awaiting a frame, or held in
+// the victim buffer until the registry acknowledges their writeback —
+// the L1 side of the registry's single-owner invariant.
+func (c *Controller) OwnedMask(l mem.Line) mem.WordMask {
+	var m mem.WordMask
+	if e := c.cache.Peek(l); e != nil {
+		m = e.MaskOf(cache.Registered)
 	}
-	if c.pendingOwn.Has(uint64(w)) {
-		return true
+	if p, ok := c.pendingOwn.Ptr(uint64(l)); ok {
+		m |= p.mask
 	}
-	if _, ok := c.victim.Get(w); ok {
-		return true
+	if c.victim.Len() > 0 {
+		for i := 0; i < mem.WordsPerLine; i++ {
+			if _, ok := c.victim.Get(l.Word(i)); ok {
+				m |= mem.Bit(i)
+			}
+		}
 	}
-	return false
+	return m
 }
 
 // HostInvalidateLine implements coherence.L1.
@@ -1532,8 +1584,10 @@ func (c *Controller) HostSteal(w mem.Word) (uint32, bool) {
 // Returns the number of clean words dropped.
 func (c *Controller) HostDropClean() (int, error) {
 	if !c.Drained() {
+		own := 0
+		c.pendingOwn.ForEach(func(_ uint64, p ownLine) { own += p.mask.Count() })
 		return 0, fmt.Errorf("denovo: phase-drain: node %d not drained (sb=%d regs=%d reads=%d own=%d victim=%d)",
-			c.node, c.sb.Len(), c.regs.Len(), c.reads.Len(), c.pendingOwn.Len(), c.victim.Len())
+			c.node, c.sb.Len(), c.regs.Len(), c.reads.Len(), own, c.victim.Len())
 	}
 	if n := c.cache.CountWords(cache.Registered); n != 0 {
 		return 0, fmt.Errorf("denovo: phase-drain: node %d still owns %d words after recall", c.node, n)

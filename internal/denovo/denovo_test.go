@@ -1,6 +1,7 @@
 package denovo
 
 import (
+	"fmt"
 	"testing"
 
 	"denovogpu/internal/cache"
@@ -543,5 +544,46 @@ func TestDirectTransferHitAndFallback(t *testing.T) {
 	r.Run(t)
 	if r.Stats.Get("l1.direct_reads_nacked") != 1 {
 		t.Fatalf("nacked = %d, want 1", r.Stats.Get("l1.direct_reads_nacked"))
+	}
+}
+
+var readSink [mem.WordsPerLine]uint32
+
+func readDone(v [mem.WordsPerLine]uint32) { readSink = v }
+
+// BenchmarkReadLineHit measures a whole-line L1 read hit, with the
+// store buffer empty and with it holding words of the line (the
+// store-to-load forwarding path).
+func BenchmarkReadLineHit(b *testing.B) {
+	for _, buffered := range []int{0, 4} {
+		b.Run(fmt.Sprintf("sb=%d", buffered), func(b *testing.B) {
+			r := testrig.New()
+			c := newCtl(r, 0, Options{})
+			l := mem.Addr(0x1000).WordOf().LineOf()
+			c.ReadLine(l, mem.AllWords, readDone)
+			for r.Eng.Step() {
+			}
+			for i := 0; i < buffered; i++ {
+				c.sb.Insert(l.Word(4*i), uint32(i))
+			}
+			// One hit per cycle of the engine's event ring, so every
+			// ring bucket has its storage before timing starts.
+			for i := 0; i < 1024; i++ {
+				c.ReadLine(l, mem.AllWords, readDone)
+				for r.Eng.Step() {
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.ReadLine(l, mem.AllWords, readDone)
+				for r.Eng.Step() {
+				}
+			}
+			b.StopTimer()
+			if r.Stats.Get("l1.read_misses") != 1 {
+				b.Fatalf("%d misses, want only the warm-up miss", r.Stats.Get("l1.read_misses"))
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"denovogpu/internal/cache"
 	"denovogpu/internal/coherence"
 	"denovogpu/internal/mem"
 	"denovogpu/internal/testrig"
@@ -86,5 +87,35 @@ func TestSanitizerQuiesceChecks(t *testing.T) {
 	c.victim.Put(w, 3)
 	if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "wb-lost") {
 		t.Fatalf("unpaired victim value: got %v, want wb-lost", err)
+	}
+}
+
+// TestDrainErrorCountsOwnedWords: owned words parked for want of a
+// cache frame (the only frame of a 1-way, 1-set L1 is pinned) show in
+// OwnedMask and CacheWordState, and the drain error counts them as
+// words, not lines.
+func TestDrainErrorCountsOwnedWords(t *testing.T) {
+	r := testrig.New()
+	c := New(0, r.Eng, r.Mesh, r.Stats, r.Meter, mem.LineBytes, 1, 256, Options{})
+	other, l := mem.Line(7), mem.Line(8)
+	c.frame(other)
+	c.pin(other)
+	mask := mem.Bit(2) | mem.Bit(5)
+	for _, i := range []int{2, 5} {
+		c.regs.Put(uint64(l.Word(i)), c.newRegTxn())
+	}
+	c.ownershipArrived(l, mask, [mem.WordsPerLine]uint32{2: 20, 5: 50}, true)
+	if got := c.OwnedMask(l); got != mask {
+		t.Fatalf("OwnedMask = %#x, want %#x", got, mask)
+	}
+	if st := c.CacheWordState(l.Word(5)); st != cache.Registered {
+		t.Fatalf("parked word state %v, want Registered", st)
+	}
+	if v, ok := c.PeekWord(l.Word(5)); !ok || v != 50 {
+		t.Fatalf("PeekWord = %d, %v; want 50", v, ok)
+	}
+	_, err := c.HostDropClean()
+	if err == nil || !strings.Contains(err.Error(), "own=2 ") {
+		t.Fatalf("HostDropClean() = %v, want a not-drained error with own=2", err)
 	}
 }

@@ -15,6 +15,7 @@ package gpucoh
 
 import (
 	"fmt"
+	"math"
 
 	"denovogpu/internal/cache"
 	"denovogpu/internal/coherence"
@@ -126,11 +127,12 @@ type Controller struct {
 	sbScratch    []cache.SBEntry
 	groupScratch []cache.LineGroup
 
-	// wtPending holds the latest value and in-flight count of every
-	// word with an outstanding writethrough. A fill arriving while a
-	// writethrough is in flight must not resurrect the pre-write value:
-	// reads and fill merges consult this table after the store buffer.
-	wtPending wordmap.Map[wtWord]
+	// wtPending holds, per line, the latest value and in-flight count
+	// of every word with an outstanding writethrough. A fill arriving
+	// while a writethrough is in flight must not resurrect the
+	// pre-write value: reads and fill merges consult this table after
+	// the store buffer.
+	wtPending wordmap.Map[wtLine]
 
 	// faultNoAcqInval makes global acquires no-ops (test-only fault
 	// injection; see DisableAcquireInvalidation).
@@ -144,9 +146,12 @@ type Controller struct {
 	rec *obs.Recorder
 }
 
-type wtWord struct {
-	val   uint32
-	count int
+// wtLine is one line's writethroughs in flight: mask has a bit per
+// word with count > 0, and val holds that word's latest value sent.
+type wtLine struct {
+	mask  mem.WordMask
+	count [mem.WordsPerLine]uint16
+	val   [mem.WordsPerLine]uint32
 }
 
 // New returns a controller with the given L1 geometry and store buffer
@@ -269,9 +274,11 @@ func (c *Controller) OutstandingRegistrations() int { return 0 }
 // ReadLine implements coherence.L1.
 func (c *Controller) ReadLine(l mem.Line, need mem.WordMask, cb func([mem.WordsPerLine]uint32)) {
 	c.meter.L1Access(1)
-	var vals [mem.WordsPerLine]uint32
+	var vals, sbVals [mem.WordsPerLine]uint32
 	missing := mem.WordMask(0)
 	entry := c.cache.Lookup(l)
+	sbMask := c.sb.LineLookup(l, &sbVals)
+	wt, _ := c.wtPending.Ptr(uint64(l))
 	for i := 0; i < mem.WordsPerLine; i++ {
 		if !need.Has(i) {
 			continue
@@ -282,12 +289,12 @@ func (c *Controller) ReadLine(l mem.Line, need mem.WordMask, cb func([mem.WordsP
 			vals[i] = entry.Data[i]
 			continue
 		}
-		if v, ok := c.sb.Lookup(l.Word(i)); ok {
-			vals[i] = v
+		if sbMask.Has(i) {
+			vals[i] = sbVals[i]
 			continue
 		}
-		if p, ok := c.wtPending.Get(uint64(l.Word(i))); ok {
-			vals[i] = p.val
+		if wt != nil && wt.mask.Has(i) {
+			vals[i] = wt.val[i]
 			continue
 		}
 		if entry != nil && entry.State[i] != cache.Invalid {
@@ -366,17 +373,17 @@ func (c *Controller) WriteLine(l mem.Line, mask mem.WordMask, data [mem.WordsPer
 func (c *Controller) sendWT(l mem.Line, mask mem.WordMask, data [mem.WordsPerLine]uint32) {
 	c.outstandingWT++
 	c.st.IncKey(kL1Writethroughs, 1)
+	p := c.wtPending.Upsert(uint64(l))
+	p.mask |= mask
 	for i := 0; i < mem.WordsPerLine; i++ {
 		if !mask.Has(i) {
 			continue
 		}
-		w := l.Word(i)
-		if p, ok := c.wtPending.Ptr(uint64(w)); ok {
-			p.val = data[i]
-			p.count++
-		} else {
-			c.wtPending.Put(uint64(w), wtWord{val: data[i], count: 1})
+		if p.count[i] == math.MaxUint16 {
+			panic(fmt.Sprintf("gpucoh: node %d has %d writethroughs of %v in flight", c.node, p.count[i], l.Word(i)))
 		}
+		p.val[i] = data[i]
+		p.count[i]++
 	}
 	c.mesh.Send(c.pool.NewMsg(coherence.Msg{
 		Kind: coherence.WriteThrough, Src: c.node, Dst: c.home(l), Port: noc.PortL2,
@@ -498,8 +505,8 @@ func (c *Controller) pumpLocalAtomics(w mem.Word) {
 		c.finishLocalAtomic(w, p, v)
 		return
 	}
-	if pw, ok := c.wtPending.Get(uint64(w)); ok {
-		c.finishLocalAtomic(w, p, pw.val)
+	if wt, ok := c.wtPending.Ptr(uint64(w.LineOf())); ok && wt.mask.Has(w.Index()) {
+		c.finishLocalAtomic(w, p, wt.val[w.Index()])
 		return
 	}
 	if e := c.cache.Lookup(w.LineOf()); e != nil && e.State[w.Index()] != cache.Invalid {
@@ -591,8 +598,10 @@ func (c *Controller) CheckInvariants() error {
 		return fmt.Errorf("node %d: %w", c.node, err)
 	}
 	if (c.outstandingWT == 0) != (c.wtPending.Len() == 0) {
+		words := 0
+		c.wtPending.ForEach(func(_ uint64, p wtLine) { words += p.mask.Count() })
 		return fmt.Errorf("gpucoh: wt-balance: node %d has %d writethroughs outstanding but %d words pending",
-			c.node, c.outstandingWT, c.wtPending.Len())
+			c.node, c.outstandingWT, words)
 	}
 	if c.Drained() {
 		// Emptied per-word queues keep their map entry (capacity reuse),
@@ -672,19 +681,23 @@ func (c *Controller) Deliver(p noc.Packet) {
 		if c.outstandingWT < 0 {
 			panic("gpucoh: more writethrough acks than writethroughs")
 		}
+		p, _ := c.wtPending.Ptr(uint64(msg.Line))
 		for i := 0; i < mem.WordsPerLine; i++ {
 			if !msg.Mask.Has(i) {
 				continue
 			}
-			w := msg.Line.Word(i)
-			if p, ok := c.wtPending.Ptr(uint64(w)); ok {
-				p.count--
-				if p.count == 0 {
-					c.wtPending.Delete(uint64(w))
+			if p == nil || !p.mask.Has(i) {
+				if c.invariants {
+					panic(fmt.Sprintf("gpucoh: wt-balance: node %d acked a writethrough of %v with no pending entry", c.node, msg.Line.Word(i)))
 				}
-			} else if c.invariants {
-				panic(fmt.Sprintf("gpucoh: wt-balance: node %d acked a writethrough of %v with no pending entry", c.node, w))
+				continue
 			}
+			if p.count[i]--; p.count[i] == 0 {
+				p.mask &^= mem.Bit(i)
+			}
+		}
+		if p != nil && p.mask == 0 {
+			c.wtPending.Delete(uint64(msg.Line))
 		}
 		if c.outstandingWT == 0 {
 			waiters := c.relWaiters
@@ -730,17 +743,19 @@ func (c *Controller) fill(msg *coherence.Msg) {
 				}
 				e.Reset(msg.Line)
 			}
+			// Own buffered or in-flight writes are newer than the fill.
+			var sbVals [mem.WordsPerLine]uint32
+			sbMask := c.sb.LineLookup(msg.Line, &sbVals)
+			wt, _ := c.wtPending.Ptr(uint64(msg.Line))
 			for i := 0; i < mem.WordsPerLine; i++ {
 				if msg.Mask.Has(i) {
 					if c.partialBlocks && e.State[i] == cache.Dirty {
 						continue // own unflushed write is newer
 					}
-					// Own buffered or in-flight writes are newer than
-					// the fill.
-					if v, ok := c.sb.Lookup(msg.Line.Word(i)); ok {
-						e.Data[i] = v
-					} else if p, ok := c.wtPending.Get(uint64(msg.Line.Word(i))); ok {
-						e.Data[i] = p.val
+					if sbMask.Has(i) {
+						e.Data[i] = sbVals[i]
+					} else if wt != nil && wt.mask.Has(i) {
+						e.Data[i] = wt.val[i]
 					} else {
 						e.Data[i] = msg.Data[i]
 					}
@@ -782,8 +797,8 @@ func (c *Controller) PeekWord(w mem.Word) (uint32, bool) {
 	if v, ok := c.sb.Lookup(w); ok {
 		return v, true
 	}
-	if p, ok := c.wtPending.Get(uint64(w)); ok {
-		return p.val, true
+	if wt, ok := c.wtPending.Ptr(uint64(w.LineOf())); ok && wt.mask.Has(w.Index()) {
+		return wt.val[w.Index()], true
 	}
 	if e := c.cache.Peek(w.LineOf()); e != nil && e.State[w.Index()] != cache.Invalid {
 		return e.Data[w.Index()], true

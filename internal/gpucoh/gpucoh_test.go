@@ -1,6 +1,8 @@
 package gpucoh
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"denovogpu/internal/cache"
@@ -350,5 +352,100 @@ func TestInFlightWritethroughNotStale(t *testing.T) {
 	r.Run(t)
 	if !c.Drained() {
 		t.Fatal("controller should drain")
+	}
+}
+
+// wtAck delivers a writethrough acknowledgment for the masked words of
+// line l.
+func wtAck(c *Controller, l mem.Line, mask mem.WordMask) {
+	c.Deliver(&coherence.Msg{Kind: coherence.WriteThroughAck, Dst: c.node, Port: noc.PortL1, Line: l, Mask: mask})
+}
+
+// TestWTBalanceUnmatchedAckPanics: with the sanitizer armed, an ack for
+// a word with no writethrough in flight panics naming the word, both
+// when its line has other words in flight and when it has none.
+func TestWTBalanceUnmatchedAckPanics(t *testing.T) {
+	l := mem.Addr(0x40).WordOf().LineOf()
+	for _, tc := range []struct {
+		name string
+		ack  mem.Word
+	}{
+		{"same line", l.Word(1)},
+		{"other line", (l + 1).Word(0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCtl(testrig.New(), 0)
+			c.EnableInvariantChecks()
+			c.sendWT(l, mem.Bit(0), [mem.WordsPerLine]uint32{})
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "wt-balance") || !strings.Contains(msg, tc.ack.String()) {
+					t.Fatalf("panic %q, want a wt-balance panic naming %v", msg, tc.ack)
+				}
+			}()
+			wtAck(c, tc.ack.LineOf(), mem.Bit(tc.ack.Index()))
+		})
+	}
+}
+
+// TestWTBalanceCountsWords: the quiesced wt-balance check reports the
+// words with a writethrough in flight — not lines, and not
+// writethroughs — with each word held until its last writethrough is
+// acked.
+func TestWTBalanceCountsWords(t *testing.T) {
+	c := newCtl(testrig.New(), 0)
+	l := mem.Addr(0x40).WordOf().LineOf()
+	var data [mem.WordsPerLine]uint32
+	c.sendWT(l, mem.Bit(0)|mem.Bit(1)|mem.Bit(2), data)
+	c.sendWT(l, mem.Bit(1)|mem.Bit(3), data)
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("balanced controller: %v", err)
+	}
+	wtAck(c, l, mem.Bit(0)|mem.Bit(1)|mem.Bit(2)) // word 1 stays in flight
+	c.outstandingWT = 0                           // lose the second writethrough
+	want := "node 0 has 0 writethroughs outstanding but 2 words pending"
+	if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("CheckInvariants() = %v, want %q", err, want)
+	}
+}
+
+var readSink [mem.WordsPerLine]uint32
+
+func readDone(v [mem.WordsPerLine]uint32) { readSink = v }
+
+// BenchmarkReadLineHit measures a whole-line L1 read hit, with the
+// store buffer empty and with it holding words of the line (the
+// store-to-load forwarding path).
+func BenchmarkReadLineHit(b *testing.B) {
+	for _, buffered := range []int{0, 4} {
+		b.Run(fmt.Sprintf("sb=%d", buffered), func(b *testing.B) {
+			r := testrig.New()
+			c := newCtl(r, 0)
+			l := mem.Addr(0x1000).WordOf().LineOf()
+			c.ReadLine(l, mem.AllWords, readDone)
+			for r.Eng.Step() {
+			}
+			for i := 0; i < buffered; i++ {
+				c.sb.Insert(l.Word(4*i), uint32(i))
+			}
+			// One hit per cycle of the engine's event ring, so every
+			// ring bucket has its storage before timing starts.
+			for i := 0; i < 1024; i++ {
+				c.ReadLine(l, mem.AllWords, readDone)
+				for r.Eng.Step() {
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.ReadLine(l, mem.AllWords, readDone)
+				for r.Eng.Step() {
+				}
+			}
+			b.StopTimer()
+			if r.Stats.Get("l1.read_misses") != 1 {
+				b.Fatalf("%d misses, want only the warm-up miss", r.Stats.Get("l1.read_misses"))
+			}
+		})
 	}
 }

@@ -485,15 +485,34 @@ func (b *Bank) Recall(w mem.Word, val uint32) {
 // (invariant checking). Iteration order is unspecified; callers must
 // not depend on it.
 func (b *Bank) ForEachRegistered(fn func(w mem.Word, owner noc.NodeID)) {
+	b.ForEachRegisteredLine(func(l mem.Line, owner []noc.NodeID) error {
+		for i, o := range owner {
+			if o != MemoryOwner {
+				fn(l.Word(i), o)
+			}
+		}
+		return nil
+	})
+}
+
+// ForEachRegisteredLine calls fn with every resident line that has a
+// word registered to an L1, and the line's owner row (indexed by word;
+// MemoryOwner for words the bank owns), in line first-touch order. It
+// stops at, and returns, the first error fn returns. fn must not keep
+// or modify the row.
+func (b *Bank) ForEachRegisteredLine(fn func(l mem.Line, owner []noc.NodeID) error) error {
 	for id := int32(0); id < int32(b.ids.Len()); id++ {
-		l := mem.Line(b.ids.Key(id))
 		owner := b.owner.Peek(id)
-		for i := 0; i < mem.WordsPerLine; i++ {
-			if owner[i] != MemoryOwner {
-				fn(l.Word(i), owner[i])
+		for _, o := range owner {
+			if o != MemoryOwner {
+				if err := fn(mem.Line(b.ids.Key(id)), owner); err != nil {
+					return err
+				}
+				break
 			}
 		}
 	}
+	return nil
 }
 
 // RecallAll functionally returns ownership of all words registered to

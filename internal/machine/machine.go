@@ -968,22 +968,7 @@ func (m *Machine) CheckInvariants() error {
 	switch {
 	case m.denovoL1s != nil:
 		for _, bank := range m.banks {
-			var err error
-			bank.ForEachRegistered(func(w mem.Word, owner noc.NodeID) {
-				if err != nil {
-					return
-				}
-				idx, ok := m.l1IndexOK(owner)
-				if !ok || idx >= len(m.denovoL1s) {
-					err = fmt.Errorf("word %v registered to nonexistent node %d", w, owner)
-					return
-				}
-				dn := m.denovoL1s[idx].(*denovo.Controller)
-				if !dn.OwnsWord(w) {
-					err = fmt.Errorf("word %v registered to node %d, which does not own it", w, owner)
-				}
-			})
-			if err != nil {
+			if err := bank.ForEachRegisteredLine(m.checkLineAgreement); err != nil {
 				return err
 			}
 		}
@@ -1021,6 +1006,30 @@ func (m *Machine) CheckInvariants() error {
 					return fmt.Errorf("CU %d (%v set): %w", i, pp.Protocol, err)
 				}
 			}
+		}
+	}
+	return nil
+}
+
+// checkLineAgreement is the l2-agreement check for one line: every
+// word the registry records as registered must be owned by the L1 it
+// names. Words are checked in index order, asking each owner for the
+// line's owned mask once per run of words it owns.
+func (m *Machine) checkLineAgreement(l mem.Line, owner []noc.NodeID) error {
+	last, owned := l2.MemoryOwner, mem.WordMask(0)
+	for i, o := range owner {
+		if o == l2.MemoryOwner {
+			continue
+		}
+		if o != last {
+			idx, ok := m.l1IndexOK(o)
+			if !ok || idx >= len(m.denovoL1s) {
+				return fmt.Errorf("word %v registered to nonexistent node %d", l.Word(i), o)
+			}
+			last, owned = o, m.denovoL1s[idx].(*denovo.Controller).OwnedMask(l)
+		}
+		if !owned.Has(i) {
+			return fmt.Errorf("word %v registered to node %d, which does not own it", l.Word(i), o)
 		}
 	}
 	return nil

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 
+	"denovogpu/internal/cache"
 	"denovogpu/internal/stats"
 	"denovogpu/internal/workload/graph"
 )
@@ -52,6 +53,9 @@ func (s ConfigSpec) Resolve() (Config, error) {
 	}
 	if s.Devices != 0 {
 		cfg.Devices = s.Devices
+	}
+	if cfg.SBEntries > cache.MaxStoreBufferEntries {
+		return Config{}, fmt.Errorf("denovogpu: config spec asks for %d store-buffer entries, more than the limit of %d", cfg.SBEntries, cache.MaxStoreBufferEntries)
 	}
 	return cfg, nil
 }

@@ -72,6 +72,11 @@ func TestCellSpecResolution(t *testing.T) {
 	if _, err := (denovogpu.ConfigSpec{}).Resolve(); err == nil {
 		t.Error("empty config spec resolved, want error")
 	}
+	big := denovogpu.DD()
+	big.SBEntries = 1<<16 + 1
+	if _, err := (denovogpu.ConfigSpec{Raw: &big}).Resolve(); err == nil || !strings.Contains(err.Error(), "store-buffer entries") {
+		t.Errorf("unaddressable store buffer resolved: %v", err)
+	}
 }
 
 func TestPinnedCellsShape(t *testing.T) {
